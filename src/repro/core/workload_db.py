@@ -10,9 +10,14 @@ standard SQL and triggers on its tables provide active alerting.
 
 Every workload table carries a trailing ``src_seq`` column: the IMA
 ring-buffer sequence number of the source row.  It is the daemon's
-crash-recovery anchor — on restart :meth:`WorkloadDatabase.load_high_water`
-recovers the per-table high-water marks from persisted data, so a
-daemon that died mid-flush resumes without duplicating or losing rows.
+crash-recovery anchor — on restart
+:meth:`WorkloadDatabase.load_high_water_vector` recovers the per-shard
+marks from persisted data, so a daemon that died mid-flush resumes
+without duplicating or losing rows.
+
+A flush costs O(rows in the batch): ``append`` is one batched insert,
+and ``purge_older_than`` skips every table whose recorded oldest
+``captured_at`` bound shows nothing can expire (see DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.core.sharding import shard_of_seq
 from repro.engine.database import Database
 from repro.errors import MonitorError
 from repro.optimizer.interfaces import estimate_row_bytes
+from repro.storage.table_storage import TableStorage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tuning_journal import TuningJournal
@@ -128,8 +134,12 @@ class WorkloadDatabase:
         self.clock = clock or SystemClock()
         self.database = Database(name, self.config, self.clock)
         self._journal: "TuningJournal | None" = None
+        # Per workload table: (storage, its write count, oldest bound);
+        # see _oldest_bound.
+        self._oldest: dict[str, tuple[TableStorage, int, float]] = {}
         for schema in WORKLOAD_TABLES:
             self.database.create_table(schema)
+            self._record_oldest(schema.name, math.inf)
 
     def tuning_journal(self) -> "TuningJournal":
         """The durable change journal persisted alongside the workload
@@ -155,17 +165,26 @@ class WorkloadDatabase:
         with ``captured_at``; returns the number of rows written.
 
         ``seqs`` supplies each row's source IMA sequence number for the
-        trailing ``src_seq`` column (0 when the caller has none).  The
-        daemon passes them in ascending order so a crash mid-append
-        persists a prefix — recovery via :meth:`load_high_water` then
-        resumes exactly after the last persisted row.
+        trailing ``src_seq`` column (0 when the caller has none); a
+        ``seqs`` of another length than ``rows`` is rejected before
+        anything is written.  The daemon passes them in ascending order
+        so a crash mid-append persists a prefix — recovery via
+        :meth:`load_high_water_vector` then resumes exactly after the
+        last persisted row.
         """
+        if seqs is not None and len(seqs) != len(rows):
+            raise MonitorError(
+                f"append to {table_name!r}: {len(rows)} rows but "
+                f"{len(seqs)} source seqs")
         faultsim.fire("workload_db.append", error=MonitorError,
                       clock=self.clock)
-        for index, row in enumerate(rows):
-            seq = seqs[index] if seqs is not None else 0
-            self.database.insert_row(
-                table_name, (captured_at,) + row + (seq,))
+        if seqs is None:
+            seqs = [0] * len(rows)
+        oldest = min(self._oldest_bound(table_name), captured_at)
+        self.database.insert_rows(
+            table_name,
+            [(captured_at,) + row + (seq,) for row, seq in zip(rows, seqs)])
+        self._record_oldest(table_name, oldest)
         return len(rows)
 
     # staticcheck: domain(src_seq)
@@ -235,15 +254,48 @@ class WorkloadDatabase:
                       clock=self.clock)
         removed = 0
         for schema in WORKLOAD_TABLES:
+            if self._oldest_bound(schema.name) >= cutoff:
+                continue  # nothing can expire: no page is touched
             storage = self.database.storage_for(schema.name)
-            victims = [rowid for rowid, row in storage.scan()
-                       if row[0] < cutoff]
+            victims: list[int] = []
+            oldest = math.inf
+            for rowid, row in storage.scan():
+                if row[0] < cutoff:
+                    victims.append(rowid)
+                elif row[0] < oldest:
+                    oldest = row[0]
             for rowid in victims:
                 self.database.delete_row(schema.name, rowid)
             removed += len(victims)
             if victims:
                 self._maybe_compact(schema.name)
+            self._record_oldest(schema.name, oldest)
         return removed
+
+    # -- the retention bound ------------------------------------------------------
+
+    def _oldest_bound(self, table_name: str) -> float:
+        """A lower bound on the ``captured_at`` of ``table_name``'s live
+        rows (``inf`` when empty), or ``-inf`` when unknown.
+
+        The bound is recorded against the table's storage and its write
+        counter, so any write not made by :meth:`append` or
+        :meth:`purge_older_than` — SQL ``INSERT``/``UPDATE``/``DELETE``,
+        ``Database.insert_row``/``update_row``, a dropped and re-created
+        table — leaves it unknown until the next purge rescans.
+        """
+        mark = self._oldest.get(table_name)
+        if mark is None:
+            return -math.inf
+        storage, writes, oldest = mark
+        current = self.database.storage_for(table_name)
+        if current is not storage or current.writes != writes:
+            return -math.inf
+        return oldest
+
+    def _record_oldest(self, table_name: str, oldest: float) -> None:
+        storage = self.database.storage_for(table_name)
+        self._oldest[table_name] = (storage, storage.writes, oldest)
 
     def _maybe_compact(self, table_name: str) -> None:
         storage = self.database.storage_for(table_name)

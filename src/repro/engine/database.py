@@ -11,7 +11,7 @@ the IMA mechanism that exposes in-memory monitor data over plain SQL.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.catalog.catalog import Catalog, TableEntry
 from repro.catalog.schema import (
@@ -29,6 +29,7 @@ from repro.clock import Clock, SystemClock
 from repro.config import EngineConfig
 from repro.errors import (
     CatalogError,
+    ReproError,
     StorageError,
     UnknownObjectError,
 )
@@ -165,28 +166,66 @@ class Database:
 
     def insert_row(self, table_name: str, row: tuple) -> int:
         """Insert a row, maintain indexes, fire triggers; returns rowid."""
+        return self.insert_rows(table_name, (row,))[0]
+
+    def insert_rows(self, table_name: str,
+                    rows: Sequence[tuple]) -> Sequence[int]:
+        """Insert ``rows`` in order; returns their rowids.
+
+        The result is that of :meth:`insert_row` per row — same pages,
+        index entries and alerts, fired in the same order — but the
+        catalog, indexes and triggers are looked up once per batch and
+        each row is validated once.  A row that fails validation or a
+        unique check rejects the whole batch before anything is
+        written; an index failure undoes its row and every later one,
+        keeping the rows before it.
+        """
         entry = self.catalog.table(table_name)
         if entry.is_virtual:
             raise CatalogError(f"cannot insert into virtual table {table_name!r}")
         storage = self._storages[table_name.lower()]
-        checked = entry.schema.check_row(row)
-        self._check_unique_indexes(entry, checked, exclude_rowid=None)
-        rowid = storage.insert(checked)
-        maintained: list[BTreeStorage] = []
+        schema = entry.schema
+        checked = [schema.check_row(row) for row in rows]
+        indexes = [(index, self._index_storages[index.name.lower()])
+                   for index in self.catalog.indexes_on(table_name)]
+        self._check_unique_indexes(schema, indexes, checked,
+                                   exclude_rowid=None)
+        rowids = range(storage.next_rowid, storage.next_rowid + len(checked))
         try:
-            for index in self.catalog.indexes_on(table_name):
-                index_storage = self._index_storages[index.name.lower()]
-                index_storage.insert(
-                    rowid, self._index_entry(entry.schema, index, rowid,
-                                             checked))
-                maintained.append(index_storage)
-        except StorageError:
-            for index_storage in maintained:
-                index_storage.delete(rowid)
-            storage.delete(rowid)
+            storage.insert_rows(checked)
+        except (ReproError, OSError):
+            # A disk fault can strike after a prefix of the batch is
+            # stored: finish that prefix as the one-row loop would have.
+            stored = sum(1 for rowid in rowids if storage.contains(rowid))
+            self._index_and_fire(table_name, schema, storage, indexes,
+                                 rowids[:stored], checked[:stored])
             raise
-        self.triggers.fire_on_insert(table_name, checked, self.clock.now())
-        return rowid
+        self._index_and_fire(table_name, schema, storage, indexes,
+                             rowids, checked)
+        return rowids
+
+    def _index_and_fire(self, table_name: str, schema: TableSchema,
+                        storage: TableStorage,
+                        indexes: list[tuple[IndexDef, BTreeStorage]],
+                        rowids: Sequence[int], rows: list[tuple]) -> None:
+        """Maintain ``indexes`` and fire insert triggers for stored rows,
+        row by row; an index failure undoes its row and all later ones."""
+        fire = bool(self.triggers.triggers_on(table_name))
+        for position, (rowid, row) in enumerate(zip(rowids, rows)):
+            maintained: list[BTreeStorage] = []
+            try:
+                for index, index_storage in indexes:
+                    index_storage.insert(
+                        rowid, self._index_entry(schema, index, rowid, row))
+                    maintained.append(index_storage)
+            except StorageError:
+                for index_storage in maintained:
+                    index_storage.delete(rowid)
+                for stale in rowids[position:]:
+                    storage.delete(stale)
+                raise
+            if fire:
+                self.triggers.fire_on_insert(table_name, row, self.clock.now())
 
     def delete_row(self, table_name: str, rowid: int) -> tuple:
         entry = self.catalog.table(table_name)
@@ -202,10 +241,12 @@ class Database:
         storage = self._storages[table_name.lower()]
         checked = entry.schema.check_row(row)
         old_row = storage.fetch(rowid)
-        self._check_unique_indexes(entry, checked, exclude_rowid=rowid)
+        indexes = [(index, self._index_storages[index.name.lower()])
+                   for index in self.catalog.indexes_on(table_name)]
+        self._check_unique_indexes(entry.schema, indexes, (checked,),
+                                   exclude_rowid=rowid)
         storage.update(rowid, checked)
-        for index in self.catalog.indexes_on(table_name):
-            index_storage = self._index_storages[index.name.lower()]
+        for index, index_storage in indexes:
             index_storage.update(
                 rowid, self._index_entry(entry.schema, index, rowid, checked))
         return old_row
@@ -388,18 +429,25 @@ class Database:
                           for c in definition.column_names)
         return tuple(row[p] for p in positions) + (rowid,)
 
-    def _check_unique_indexes(self, entry: TableEntry, row: tuple,
+    def _check_unique_indexes(self, schema: TableSchema,
+                              indexes: list[tuple[IndexDef, BTreeStorage]],
+                              rows: Sequence[tuple],
                               exclude_rowid: int | None) -> None:
-        """Pre-check unique secondary indexes so a violation does not
-        leave a half-maintained row behind."""
-        for index in self.catalog.indexes_on(entry.schema.name):
+        """Pre-check unique secondary indexes for ``rows`` — against the
+        stored entries and against the rows before them in the batch —
+        so a violation does not leave a half-maintained row behind."""
+        for index, storage in indexes:
             if not index.unique:
                 continue
-            storage = self._index_storages[index.name.lower()]
-            key = self._index_entry(entry.schema, index, 0, row)[:-1]
-            for rowid, _entry_row in storage.seek(key):
-                if rowid != exclude_rowid:
+            seen: set[tuple] = set()
+            for row in rows:
+                key = self._index_entry(schema, index, 0, row)[:-1]
+                duplicate = key in seen or any(
+                    rowid != exclude_rowid
+                    for rowid, _entry_row in storage.seek(key))
+                if duplicate:
                     raise StorageError(
                         f"duplicate key {key!r} violates unique index "
                         f"{index.name!r}"
                     )
+                seen.add(key)

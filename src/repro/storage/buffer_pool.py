@@ -30,12 +30,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
-from repro.errors import BufferPoolError
+from repro.errors import BufferPoolError, ReproError
 from repro.storage.disk import DiskManager
 
 
 class _Page(Protocol):
     def to_bytes(self) -> bytes: ...
+
+
+# A dirty page on its way to disk: (page id, page object, its bytes).
+_WriteBack = tuple[int, "_Page", bytes]
 
 
 @dataclass(frozen=True)
@@ -126,11 +130,11 @@ class BufferPool:
 
     # staticcheck: guarded-by(_lock)
     def _admit(self, page_id: int, page: _Page,
-               dirty: bool) -> list[tuple[int, bytes]]:
+               dirty: bool) -> list[_WriteBack]:
         """Install ``page``, evicting to capacity; return the dirty
-        victims ``(page_id, serialized bytes)`` the caller must write
-        back *after releasing the latch*."""
-        writebacks: list[tuple[int, bytes]] = []
+        victims the caller must write back *after releasing the
+        latch*."""
+        writebacks: list[_WriteBack] = []
         if page_id in self._frames:
             self._frames[page_id] = page
             self._frames.move_to_end(page_id)
@@ -145,7 +149,7 @@ class BufferPool:
         return writebacks
 
     # staticcheck: guarded-by(_lock)
-    def _evict_one(self) -> tuple[int, bytes] | None:
+    def _evict_one(self) -> _WriteBack | None:
         """Evict the LRU frame; return its write-back work, if dirty.
 
         Serialization happens here, under the latch, so the snapshot is
@@ -156,14 +160,26 @@ class BufferPool:
         if victim_id in self._dirty:
             self._dirty.discard(victim_id)
             self._writebacks += 1
-            return victim_id, victim.to_bytes()
+            return victim_id, victim, victim.to_bytes()
         return None
 
-    def _write_back(self, writebacks: list[tuple[int, bytes]]) -> None:
+    def _write_back(self, writebacks: list[_WriteBack]) -> None:
         """Perform deferred page writes.  Must be called *without* the
-        latch held — that is the whole point of deferring them."""
-        for page_id, raw in writebacks:
-            self.disk.write(page_id, raw)
+        latch held — that is the whole point of deferring them.
+
+        A failed write delays a page instead of losing it: that page and
+        every one not yet written go back into the pool as dirty frames
+        (an evicted one is re-admitted) before the error propagates."""
+        for position, (page_id, _page, raw) in enumerate(writebacks):
+            try:
+                self.disk.write(page_id, raw)
+            except (ReproError, OSError):
+                with self._lock:
+                    for unwritten_id, page, _raw in writebacks[position:]:
+                        if unwritten_id not in self._frames:
+                            self._frames[unwritten_id] = page
+                        self._dirty.add(unwritten_id)
+                raise
 
     def flush_all(self) -> int:
         """Write back every dirty page; return how many were written.
@@ -177,7 +193,7 @@ class BufferPool:
             writebacks = []
             for page_id in list(self._dirty):
                 page = self._frames[page_id]
-                writebacks.append((page_id, page.to_bytes()))
+                writebacks.append((page_id, page, page.to_bytes()))
                 self._writebacks += 1
             self._dirty.clear()
         self._write_back(writebacks)
@@ -195,7 +211,8 @@ class BufferPool:
         with self._lock:
             writebacks = []
             for page_id in list(self._dirty):
-                writebacks.append((page_id, self._frames[page_id].to_bytes()))
+                page = self._frames[page_id]
+                writebacks.append((page_id, page, page.to_bytes()))
                 self._writebacks += 1
             self._dirty.clear()
             self._frames.clear()

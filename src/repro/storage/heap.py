@@ -10,7 +10,7 @@ The :func:`overflow_ratio` of a table is what the analyzer rule reads.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -50,8 +50,10 @@ class HeapStorage:
     def _new_page(self) -> tuple[int, HeapPage]:
         page_id = self._disk.allocate()
         page = HeapPage(self.schema, self._fill_capacity)
-        self._pool.put_new(page_id, page)
+        # Linked before it is pooled: a failed write-back of the frame
+        # put_new evicts still leaves the new page part of the heap.
         self._page_ids.append(page_id)
+        self._pool.put_new(page_id, page)
         return page_id, page
 
     # -- public API ------------------------------------------------------
@@ -85,27 +87,52 @@ class HeapStorage:
     def insert(self, rowid: int, row: tuple[Any, ...]) -> None:
         """Append a row; allocates a new (possibly overflow) page if the
         current last page is full."""
-        if rowid in self._rowid_to_page:
-            raise StorageError(f"duplicate rowid {rowid}")
-        if row_size(self.schema, row) > self._fill_capacity:
-            raise StorageError(
-                f"row of {row_size(self.schema, row)} bytes exceeds the "
-                f"usable page capacity {self._fill_capacity}"
-            )
+        self.insert_rows((rowid,), (row,))
+
+    def insert_rows(self, rowids: Sequence[int],
+                    rows: Sequence[tuple[Any, ...]]) -> None:
+        """Append ``rows`` under ``rowids``, in order, onto exactly the
+        pages row-at-a-time :meth:`insert` calls would have filled.
+
+        Each row is sized once, and the pool sees one get for the current
+        last page and one put per page filled (a page opened here is
+        also pooled empty as it is linked).  The batch is checked
+        before any page changes; a disk fault after that leaves a
+        stored prefix whose bookkeeping matches its pages.
+        """
+        sizes: list[int] = []
+        for rowid, row in zip(rowids, rows):
+            if rowid in self._rowid_to_page:
+                raise StorageError(f"duplicate rowid {rowid}")
+            size = row_size(self.schema, row)
+            if size > self._fill_capacity:
+                raise StorageError(
+                    f"row of {size} bytes exceeds the "
+                    f"usable page capacity {self._fill_capacity}"
+                )
+            sizes.append(size)
+        if not sizes:
+            return
         if self._page_ids:
-            last_id = self._page_ids[-1]
-            page = self._load(last_id)
-            if page.fits(row):
-                page.insert(rowid, row)
-                self._pool.put(last_id, page)
-                self._rowid_to_page[rowid] = last_id
+            page_id = self._page_ids[-1]
+            page = self._load(page_id)
+        else:
+            page_id, page = self._new_page()
+        filled = False  # does ``page`` hold rows of this batch yet?
+        try:
+            for rowid, row, size in zip(rowids, rows, sizes):
+                if not page.fits(row, size):
+                    if filled:
+                        self._pool.put(page_id, page)
+                    page_id, page = self._new_page()
+                    filled = False
+                page.insert(rowid, row, size)
+                filled = True
+                self._rowid_to_page[rowid] = page_id
                 self._row_count += 1
-                return
-        page_id, page = self._new_page()
-        page.insert(rowid, row)
-        self._pool.put(page_id, page)
-        self._rowid_to_page[rowid] = page_id
-        self._row_count += 1
+        finally:
+            if filled:
+                self._pool.put(page_id, page)
 
     def fetch(self, rowid: int) -> tuple[Any, ...]:
         """Read one row by rowid (one page access)."""
@@ -150,8 +177,9 @@ class HeapStorage:
         """Load (rowid, row) pairs into an empty heap."""
         if self._page_ids:
             raise StorageError("bulk_load requires an empty heap")
-        for rowid, row in entries:
-            self.insert(rowid, row)
+        pairs = list(entries)
+        self.insert_rows([rowid for rowid, _row in pairs],
+                         [row for _rowid, row in pairs])
 
     def drop(self) -> None:
         """Free every page of this heap."""

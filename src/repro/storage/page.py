@@ -37,18 +37,24 @@ class HeapPage:
         self.entries: dict[int, tuple[Any, ...]] = {}
         self.used_bytes = _HEADER.size
 
-    def fits(self, row: tuple[Any, ...]) -> bool:
-        """True if ``row`` fits into the remaining free space."""
-        needed = _ROWID.size + row_size(self.schema, row)
-        return self.used_bytes + needed <= self.capacity
+    def fits(self, row: tuple[Any, ...], size: int | None = None) -> bool:
+        """True if ``row`` fits into the remaining free space; ``size``
+        is its :func:`row_size` when the caller has already computed it."""
+        if size is None:
+            size = row_size(self.schema, row)
+        return self.used_bytes + _ROWID.size + size <= self.capacity
 
-    def insert(self, rowid: int, row: tuple[Any, ...]) -> None:
+    def insert(self, rowid: int, row: tuple[Any, ...],
+               size: int | None = None) -> None:
+        """Add ``row``; ``size`` as for :meth:`fits`."""
         if rowid in self.entries:
             raise PageError(f"duplicate rowid {rowid} on heap page")
-        if not self.fits(row):
+        if size is None:
+            size = row_size(self.schema, row)
+        if not self.fits(row, size):
             raise PageError("row does not fit on heap page")
         self.entries[rowid] = row
-        self.used_bytes += _ROWID.size + row_size(self.schema, row)
+        self.used_bytes += _ROWID.size + size
 
     def delete(self, rowid: int) -> tuple[Any, ...]:
         try:

@@ -8,7 +8,7 @@ compacts away heap holes and overflow chains.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.catalog.schema import StorageStructure, TableSchema
 from repro.config import StorageConfig
@@ -33,6 +33,9 @@ class TableStorage:
         self._config = config or StorageConfig()
         self._next_rowid = 1
         self.modifications_since_stats = 0
+        self.writes = 0
+        """Monotone count of row writes (inserts, deletes, updates);
+        MODIFY rebuilds keep it, since they keep the rows."""
         self._main_pages = main_pages or 8
         self._store: HeapStorage | BTreeStorage | HashStorage = \
             self._build(structure)
@@ -136,27 +139,72 @@ class TableStorage:
 
     # -- row operations -----------------------------------------------------
 
+    @property
+    def next_rowid(self) -> int:
+        """The rowid the next :meth:`insert_rows` row will get."""
+        return self._next_rowid
+
     def insert(self, row: tuple[Any, ...]) -> int:
         """Validate and store ``row``; returns the assigned rowid."""
-        rowid = self._next_rowid
-        self.insert_with_rowid(rowid, row)
-        return rowid
+        return self.insert_rows((self.schema.check_row(row),))[0]
+
+    def insert_rows(self, rows: Sequence[tuple[Any, ...]]) -> range:
+        """Store already validated ``rows`` under consecutive fresh
+        rowids (from :attr:`next_rowid`); returns them."""
+        first = self._next_rowid
+        rowids = range(first, first + len(rows))
+        self._store_rows(rowids, rows)
+        return rowids
 
     def insert_with_rowid(self, rowid: int, row: tuple[Any, ...]) -> None:
-        """Store ``row`` under an explicit rowid (undo/replication path)."""
-        checked = self.schema.check_row(row)
-        key = self._primary_key(checked)
-        if key is not None and key in self._pk_map:
-            raise StorageError(
-                f"duplicate primary key {key!r} in table {self.schema.name!r}"
-            )
-        self._store.insert(rowid, checked)
-        if key is not None:
-            self._pk_map[key] = rowid
-        self._next_rowid = max(self._next_rowid, rowid + 1)
-        self.modifications_since_stats += 1
+        """Validate and store ``row`` under an explicit rowid
+        (undo/restore path)."""
+        if self._store.contains(rowid):
+            raise StorageError(f"duplicate rowid {rowid}")
+        self._store_rows((rowid,), (self.schema.check_row(row),))
+
+    def _store_rows(self, rowids: Sequence[int],
+                    rows: Sequence[tuple[Any, ...]]) -> None:
+        """The one insert path, for fresh ``rowids``: reject the whole
+        batch on a duplicate primary key, else store it.  A disk fault
+        mid-batch can leave a stored prefix; its keys, rowids and counts
+        are recorded all the same."""
+        if not rows:
+            return
+        keys: list[tuple] = []
+        if self._key_positions:
+            batch_keys: set[tuple] = set()
+            for row in rows:
+                key = tuple(row[i] for i in self._key_positions)
+                if key in self._pk_map or key in batch_keys:
+                    raise StorageError(
+                        f"duplicate primary key {key!r} in table "
+                        f"{self.schema.name!r}"
+                    )
+                batch_keys.add(key)
+                keys.append(key)
+        self.writes += 1
+        stored = 0
+        try:
+            if isinstance(self._store, HeapStorage):
+                self._store.insert_rows(rowids, rows)
+            else:
+                for rowid, row in zip(rowids, rows):
+                    self._store.insert(rowid, row)
+            stored = len(rowids)
+        finally:
+            if stored < len(rowids):
+                stored = sum(1 for rowid in rowids
+                             if self._store.contains(rowid))
+            if keys:
+                self._pk_map.update(zip(keys[:stored], rowids[:stored]))
+            if stored:
+                self._next_rowid = max(self._next_rowid,
+                                       rowids[stored - 1] + 1)
+            self.modifications_since_stats += stored
 
     def delete(self, rowid: int) -> tuple[Any, ...]:
+        self.writes += 1
         row = self._store.delete(rowid)
         key = self._primary_key(row)
         if key is not None:
@@ -165,6 +213,7 @@ class TableStorage:
         return row
 
     def update(self, rowid: int, row: tuple[Any, ...]) -> None:
+        self.writes += 1
         checked = self.schema.check_row(row)
         new_key = self._primary_key(checked)
         old_key = None

@@ -13,7 +13,7 @@ from repro.core.daemon import StorageDaemon
 from repro.core.ima import IMA_TABLE_NAMES
 from repro.core.sensors import statement_hash
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
-from repro.errors import MonitorError
+from repro.errors import MonitorError, ReproError
 from repro.setups import daemon_setup
 
 
@@ -119,6 +119,90 @@ class TestWorkloadDatabase:
         removed = wdb.purge_older_than(150.0)
         assert removed == 1
         assert wdb.row_count("wl_indexes") == 1
+
+
+def _disk_image(database):
+    """Every allocated page's bytes, after writing back dirty frames."""
+    database.pool.flush_all()
+    disk = database.disk
+    return [disk.read(page_id)
+            for page_id in range(disk.counters().allocations)
+            if disk.exists(page_id)]
+
+
+def _statistics_row(i):
+    # ts, current/peak sessions, locks held/waiters/requests, lock
+    # waits, deadlocks, timeouts, cache hits/misses, reads, writes
+    return (float(i), i % 40, 40, i % 3, 0, i, i % 150, i % 5, 0,
+            i * 10, i, i, i)
+
+
+def _tables_row(i):
+    return (f"table{i}", i, "heap", 10, i % 4, 100 * i, i % 2)
+
+
+class TestBatchedAppend:
+    """``append`` writes one batch; the result is what the former
+    row-at-a-time ``Database.insert_row`` loop produced."""
+
+    @staticmethod
+    def _pair():
+        batched = WorkloadDatabase(EngineConfig(), VirtualClock(50.0))
+        looped = WorkloadDatabase(EngineConfig(), VirtualClock(50.0))
+        return batched, looped
+
+    @staticmethod
+    def _loop(wdb, table, rows, captured_at, seqs):
+        for row, seq in zip(rows, seqs):
+            wdb.database.insert_row(table, (captured_at,) + row + (seq,))
+
+    def test_pages_and_bytes_match_row_at_a_time(self):
+        batched, looped = self._pair()
+        texts = [("q" * (i % 97),) for i in range(300)]
+        for flush in range(4):
+            rows = [(i, texts[i][0], i, 1.0, 2.0) for i in range(300)]
+            seqs = list(range(flush * 300 + 1, flush * 300 + 301))
+            batched.append("wl_statements", rows, float(flush), seqs=seqs)
+            self._loop(looped, "wl_statements", rows, float(flush), seqs)
+        first = batched.database.storage_for("wl_statements")
+        second = looped.database.storage_for("wl_statements")
+        assert first.page_count == second.page_count > 1
+        assert list(first.scan()) == list(second.scan())
+        assert batched.total_bytes == looped.total_bytes
+        assert _disk_image(batched.database) == _disk_image(looped.database)
+
+    def test_alerts_fire_as_row_at_a_time(self):
+        batched, looped = self._pair()
+        for wdb in (batched, looped):
+            install_standard_alerts(wdb, max_sessions=30,
+                                    lock_wait_threshold=120)
+        statistics = [_statistics_row(i) for i in range(200)]
+        tables = [_tables_row(i) for i in range(60)]
+        seqs = list(range(1, 201))
+        batched.append("wl_statistics", statistics, 7.0, seqs=seqs)
+        batched.append("wl_tables", tables, 7.0, seqs=seqs[:60])
+        self._loop(looped, "wl_statistics", statistics, 7.0, seqs)
+        self._loop(looped, "wl_tables", tables, 7.0, seqs[:60])
+        fired = fired_alerts(batched)
+        assert {alert.trigger_name for alert in fired} == {
+            "alert_max_sessions", "alert_deadlocks", "alert_lock_waits",
+            "alert_overflow_pages"}
+        assert fired == fired_alerts(looped)
+
+    @pytest.mark.parametrize("seqs", [[1], [1, 2, 3]])
+    def test_seq_count_mismatch_rejected_before_writing(self, seqs):
+        wdb = WorkloadDatabase(EngineConfig())
+        with pytest.raises(MonitorError):
+            wdb.append("wl_indexes", [("a", "t", 1), ("b", "t", 2)],
+                       captured_at=1.0, seqs=seqs)
+        assert wdb.row_count("wl_indexes") == 0
+
+    def test_invalid_row_rejects_the_whole_batch(self):
+        wdb = WorkloadDatabase(EngineConfig())
+        with pytest.raises(ReproError):
+            wdb.append("wl_indexes", [("a", "t", 1), ("b", "t", "x")],
+                       captured_at=1.0, seqs=[1, 2])
+        assert wdb.row_count("wl_indexes") == 0
 
 
 class TestDaemon:

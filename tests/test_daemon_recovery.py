@@ -5,6 +5,7 @@ Everything here is deterministic: threads are synchronized with events
 sleeps on the happy path.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -13,8 +14,8 @@ from repro import faultsim
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig
 from repro.core.daemon import StorageDaemon
-from repro.core.workload_db import TABLE_SOURCES
-from repro.errors import MonitorError
+from repro.core.workload_db import TABLE_SOURCES, WorkloadDatabase
+from repro.errors import MonitorError, StorageError
 from repro.setups import daemon_setup
 
 
@@ -244,3 +245,68 @@ class TestCrashRecovery:
                 .storage_for("wl_workload").scan()
                 if row[1] == statement_hash(target)]
         assert len(rows) == 1
+
+
+class TestMidBatchFault:
+    """A disk fault inside one table's batch append (not before it):
+    the stored prefix is kept, the rest requeued, nothing doubled."""
+
+    @staticmethod
+    def _run(fault):
+        setup, session, clock = make_setup(flush_every_polls=1)
+        # A two-page pool makes every new page of a batch evict a dirty
+        # one, so page writes happen inside the append itself.
+        config = setup.engine.config
+        tiny = dataclasses.replace(config, storage=dataclasses.replace(
+            config.storage, buffer_pool_pages=2))
+        workload_db = WorkloadDatabase(tiny, clock)
+        daemon = StorageDaemon(setup.engine, "db", workload_db,
+                               config=setup.daemon.config)
+        for i in range(120):
+            session.execute(f"select a from t where a = {i}")
+        if fault:
+            # The fourth page write lands inside the wl_workload batch.
+            faultsim.get_injector().arm("disk.write", "once", after=3)
+            with pytest.raises(StorageError):
+                daemon.poll_once()
+            faultsim.get_injector().disarm("disk.write")
+        return setup, workload_db, daemon
+
+    @staticmethod
+    def _persisted(workload_db):
+        return {table: sorted(row[-1] for _rid, row in
+                              workload_db.database.storage_for(table).scan())
+                for table in TABLE_SOURCES}
+
+    def test_requeue_after_mid_batch_fault(self):
+        _setup, expected_db, expected = self._run(fault=False)
+        expected.poll_once()
+        setup, workload_db, daemon = self._run(fault=True)
+        partial = self._persisted(workload_db)
+        want = self._persisted(expected_db)
+        assert any(0 < len(partial[t]) < len(want[t]) for t in want), \
+            "the fault must strike inside a batch"
+        daemon.flush()
+        assert daemon.pending_rows == 0
+        assert_no_duplicate_src_seqs(workload_db)
+        assert self._persisted(workload_db) == want
+        assert workload_db.total_rows() == daemon.status().total_rows_flushed
+
+    def test_restart_after_mid_batch_fault(self):
+        _setup, expected_db, expected = self._run(fault=False)
+        expected.poll_once()
+        setup, workload_db, crashed = self._run(fault=True)
+        # Crash: the pending batches die with the daemon; a fresh one
+        # resumes from what the workload DB holds.
+        reborn = StorageDaemon(setup.engine, "db", workload_db,
+                               config=crashed.config)
+        reborn.poll_once()
+        reborn.flush()
+        assert_no_duplicate_src_seqs(workload_db)
+        persisted = self._persisted(workload_db)
+        want = self._persisted(expected_db)
+        # Every ring row the crash dropped from memory is re-read and
+        # persisted.  (The fresh daemon's own poll statements add ring
+        # rows, and its poll takes new snapshots of the snapshot tables.)
+        for table in ("wl_statements", "wl_workload", "wl_references"):
+            assert set(want[table]) <= set(persisted[table]), table

@@ -284,7 +284,7 @@ class TestDomainMap:
         orders = [site for site in result.sites if site.kind == "order"]
         assert len(orders) == 1
         assert orders[0].path.endswith("workload_db.py")
-        assert orders[0].line == 191
+        assert orders[0].line == 210
 
     def test_artifact_schema(self):
         result = compute_domain_map(
