@@ -13,6 +13,14 @@ Two flavors:
 * :class:`KeyedRingBuffer` — an LRU-bounded map (statements keyed by
   text hash, object-usage records keyed by name); updates refresh the
   entry's recency and its ``updated_seq``.
+
+Both ``snapshot(min_seq)`` reads cost O(entries newer than
+``min_seq``), not O(window), so the daemon's incremental polls scale
+with what is new: a :class:`RingBuffer` window holds the contiguous
+seqs ``newest-n+1 .. newest`` and slices its tail by index arithmetic;
+a :class:`KeyedRingBuffer` keeps its LRU order in ascending
+``updated_seq`` (every insert and refresh moves the key to the end
+with a fresh seq) and walks back from the newest entry.
 """
 
 from __future__ import annotations
@@ -70,14 +78,25 @@ class RingBuffer(Generic[T]):
         with self._lock:
             return self._dropped
 
+    # staticcheck: hotpath
     def snapshot(self, min_seq: int = 0) -> list[tuple[int, T]]:
-        """(seq, item) pairs with seq > ``min_seq``, oldest first."""
+        """(seq, item) pairs with seq > ``min_seq``, oldest first.
+
+        The window holds the contiguous seqs ``newest-n+1 .. newest``,
+        so the entries newer than ``min_seq`` are its last
+        ``newest - min_seq`` — sliced out without visiting the rest.
+        """
         with self._lock:
-            n = len(self._items)
-            ordered = [
-                self._items[(self._start + i) % n] for i in range(n)
-            ] if n else []
-        return [(seq, item) for seq, item in ordered if seq > min_seq]
+            items = self._items
+            n = len(items)
+            skip = max(0, min_seq - (self._next_seq - 1 - n))
+            if skip >= n:
+                return []
+            start = self._start
+            begin = (start + skip) % n
+            if begin < start:
+                return items[begin:start]  # staticcheck: allocfree(snapshot-list-is-the-product)
+            return items[begin:] + items[:start]  # staticcheck: allocfree(snapshot-list-is-the-product)
 
     def values(self) -> list[T]:
         return [item for _seq, item in self.snapshot()]
@@ -199,11 +218,26 @@ class KeyedRingBuffer(Generic[K, T]):
         with self._lock:
             return self._evicted
 
+    # staticcheck: hotpath
     def snapshot(self, min_seq: int = 0) -> list[tuple[int, T]]:
-        """(updated_seq, value) pairs with seq > ``min_seq``, in LRU order."""
+        """(updated_seq, value) pairs with seq > ``min_seq``, in LRU order.
+
+        LRU order is ascending ``updated_seq``: :meth:`upsert_tracked`
+        and :meth:`bump` stamp a fresh seq and move the key to the end
+        in one critical section, and eviction pops only the front.  So
+        the entries newer than ``min_seq`` are a suffix, found by
+        walking back from the newest entry to the first seq
+        ``<= min_seq``.
+        """
+        newer: list[tuple[int, T]] = []
         with self._lock:
-            entries = list(self._items.values())
-        return [(seq, value) for seq, value in entries if seq > min_seq]
+            items = self._items
+            for entry in reversed(items.values()):
+                if entry[0] <= min_seq:
+                    break
+                newer.append(entry)
+        newer.reverse()
+        return newer
 
     def values(self) -> list[T]:
         return [value for _seq, value in self.snapshot()]

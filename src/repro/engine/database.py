@@ -11,6 +11,7 @@ the IMA mechanism that exposes in-memory monitor data over plain SQL.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.catalog.catalog import Catalog, TableEntry
@@ -46,6 +47,19 @@ from repro.storage.table_storage import TableStorage
 from repro.engine.triggers import TriggerManager
 
 VirtualTableProvider = Callable[[], list[tuple]]
+"""An unkeyed virtual table's rows: called with no arguments."""
+
+KeyedRowProvider = Callable[[int | None, int], list[tuple]]
+"""A keyed virtual table's rows: ``(partition, min_seq)`` -> the rows
+of that partition (of every partition when None) whose seq column
+exceeds ``min_seq``, in seq order."""
+
+
+@dataclass(frozen=True)
+class _VirtualTable:
+    provider: Callable[..., list[tuple]]
+    key_columns: tuple[str, ...]
+    row_count: Callable[[], int] | None
 
 
 class Database:
@@ -62,7 +76,7 @@ class Database:
         self.triggers = TriggerManager()
         self._storages: dict[str, TableStorage] = {}
         self._index_storages: dict[str, BTreeStorage] = {}
-        self._virtual_providers: dict[str, VirtualTableProvider] = {}
+        self._virtual_tables: dict[str, _VirtualTable] = {}
         self.schema_version = 0
         """Bumped on every DDL/statistics change; plan caches key their
         entries on it so stale plans are recompiled."""
@@ -81,16 +95,26 @@ class Database:
         )
         return entry
 
-    def register_virtual_table(self, schema: TableSchema,
-                               provider: VirtualTableProvider) -> TableEntry:
+    def register_virtual_table(
+            self, schema: TableSchema,
+            provider: VirtualTableProvider | KeyedRowProvider,
+            key_columns: tuple[str, ...] = (),
+            row_count: Callable[[], int] | None = None) -> TableEntry:
         """Register an in-memory (IMA-style) virtual table.
 
         The provider is called at scan time and must return the current
-        rows; no storage or disk access is involved.
+        rows; no storage or disk access is involved.  With
+        ``key_columns`` — ``(partition column, seq column)``, both INT —
+        the provider is a :data:`KeyedRowProvider` and the optimizer may
+        pass it a partition and a seq floor taken from the query's
+        ``partition = P`` and ``seq > M`` conditions.  ``row_count``
+        (default: the length of an unbounded read) sizes the table for
+        the optimizer without building its rows.
         """
         self.schema_version += 1
         entry = self.catalog.create_table(schema, is_virtual=True)
-        self._virtual_providers[schema.name.lower()] = provider
+        self._virtual_tables[schema.name.lower()] = _VirtualTable(
+            provider, key_columns, row_count)
         return entry
 
     def drop_table(self, name: str) -> None:
@@ -100,7 +124,7 @@ class Database:
             self.drop_index(index.name)
         self.catalog.drop_table(name)
         if entry.is_virtual:
-            self._virtual_providers.pop(name.lower(), None)
+            self._virtual_tables.pop(name.lower(), None)
             return
         storage = self._storages.pop(name.lower())
         storage.drop()
@@ -307,7 +331,9 @@ class Database:
     def table_info(self, name: str) -> TableInfo:
         entry = self.catalog.table(name)
         if entry.is_virtual:
-            rows = len(self._virtual_providers[name.lower()]())
+            table = self._virtual_tables[name.lower()]
+            rows = (table.row_count() if table.row_count is not None
+                    else len(self.virtual_rows(name)))
             return TableInfo(
                 name=entry.schema.name,
                 schema=entry.schema,
@@ -316,6 +342,7 @@ class Database:
                 page_count=max(1, rows // 50),
                 overflow_pages=0,
                 avg_row_bytes=estimate_row_bytes(entry.schema),
+                virtual_key=table.key_columns,
             )
         storage = self._storages[name.lower()]
         stats = entry.statistics
@@ -385,15 +412,26 @@ class Database:
             raise UnknownObjectError(
                 f"index {index_name!r} does not exist") from None
 
-    def virtual_rows(self, table_name: str) -> list[tuple]:
+    def virtual_rows(self, table_name: str, partition: int | None = None,
+                     min_seq: int = 0) -> list[tuple]:
+        """A virtual table's current rows — the one way to read them.
+
+        For a keyed table, only ``partition``'s rows (every partition's
+        when None) with seq > ``min_seq``; an unkeyed table ignores the
+        bounds and returns every row.  Callers re-apply their filter, so
+        a bound only narrows what the provider builds.
+        """
         try:
-            return self._virtual_providers[table_name.lower()]()
+            table = self._virtual_tables[table_name.lower()]
         except KeyError:
             raise UnknownObjectError(
                 f"virtual table {table_name!r} does not exist") from None
+        if table.key_columns:
+            return table.provider(partition, min_seq)
+        return table.provider()
 
     def is_virtual_table(self, table_name: str) -> bool:
-        return table_name.lower() in self._virtual_providers
+        return table_name.lower() in self._virtual_tables
 
     # -- size accounting ---------------------------------------------------------------
 

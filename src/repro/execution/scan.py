@@ -24,7 +24,8 @@ class StorageCatalog(Protocol):
 
     def index_storage_for(self, index_name: str) -> BTreeStorage: ...
 
-    def virtual_rows(self, table_name: str) -> list[tuple]: ...
+    def virtual_rows(self, table_name: str, partition: int | None = None,
+                     min_seq: int = 0) -> list[tuple]: ...
 
     def is_virtual_table(self, table_name: str) -> bool: ...
 
@@ -69,11 +70,27 @@ def key_bounds(conditions: tuple[KeyCondition, ...]) -> tuple[
     return lo, hi, lo_inclusive, hi_inclusive
 
 
+def virtual_bounds(conditions: tuple[KeyCondition, ...],
+                   ) -> tuple[int | None, int]:
+    """``(partition, min_seq)`` for a keyed virtual table's provider,
+    from the ``partition = P`` and ``seq`` lower-bound conditions the
+    optimizer recorded (see
+    :func:`~repro.optimizer.access_paths.virtual_key_conditions`)."""
+    lo, _hi, lo_inclusive, _hi_inclusive = key_bounds(conditions)
+    if lo is None:
+        return None, 0
+    if len(lo) == 1:
+        return lo[0], 0
+    return lo[0], (lo[1] - 1 if lo_inclusive else lo[1])
+
+
 def seq_scan(plan: SeqScanPlan, catalog: StorageCatalog,
              counters: Counters) -> Iterator[tuple]:
     predicate = compile_predicate(plan.filter_expr, plan.scope)
     if catalog.is_virtual_table(plan.table_name):
-        source: Iterator[tuple] = iter(catalog.virtual_rows(plan.table_name))
+        partition, min_seq = virtual_bounds(plan.key_conditions)
+        source: Iterator[tuple] = iter(
+            catalog.virtual_rows(plan.table_name, partition, min_seq))
         for row in source:
             counters.tuples += 1
             if predicate(row):

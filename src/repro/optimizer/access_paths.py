@@ -122,6 +122,22 @@ def match_key_prefix(key_columns: tuple[str, ...],
                     eq_columns, has_range)
 
 
+def virtual_key_conditions(key_columns: tuple[str, ...],
+                           sargs: list[_Sarg]) -> tuple[KeyCondition, ...]:
+    """The conditions a keyed virtual table's provider can apply:
+    ``partition = P``, then a ``seq`` lower bound (``>``, ``>=`` or
+    ``=``), integer literals only.  Empty without a partition equality.
+    Upper bounds stay with the scan's filter, which re-checks every row
+    anyway."""
+    if not key_columns:
+        return ()
+    match = match_key_prefix(
+        key_columns, [s for s in sargs if type(s.value) is int])
+    if not match.equality_columns:
+        return ()
+    return tuple(c for c in match.conditions if c.op in ("=", ">", ">="))
+
+
 class AccessPathSelector:
     """Chooses the cheapest access path for one binding."""
 
@@ -148,7 +164,8 @@ class AccessPathSelector:
         total_selectivity = self._combined_selectivity(predicates, resolve)
         out_rows = max(0.0, table.row_count * total_selectivity)
         candidates: list[PlanNode] = [
-            self._seq_scan(binding, table, columns, predicates, out_rows)
+            self._seq_scan(binding, table, columns, predicates, sargs,
+                           out_rows)
         ]
         if table.key_columns and table.structure is StorageStructure.BTREE:
             plan = self._btree_scan(binding, table, columns, predicates,
@@ -172,12 +189,14 @@ class AccessPathSelector:
     def _seq_scan(self, binding: str, table: TableInfo,
                   columns: tuple[str, ...],
                   predicates: list[ast.Expression],
+                  sargs: list[_Sarg],
                   out_rows: float) -> SeqScanPlan:
         plan = SeqScanPlan(
             table_name=table.name,
             binding=binding,
             columns=columns,
             filter_expr=conjoin(predicates),
+            key_conditions=virtual_key_conditions(table.virtual_key, sargs),
         )
         cost = self._cost_model.seq_scan(
             pages=max(1, table.page_count),

@@ -53,6 +53,10 @@ class TableInfo:
     """HASH structures: average pages per bucket chain (lookup cost)."""
     statistics: TableStatistics | None = None
     avg_row_bytes: float = 64.0
+    virtual_key: tuple[str, ...] = ()
+    """Keyed virtual tables: ``(partition, seq)`` columns whose
+    ``partition = P`` and ``seq > M`` conditions the scan may hand to
+    the row provider (see ``Database.register_virtual_table``)."""
 
     @property
     def fetch_height(self) -> float:

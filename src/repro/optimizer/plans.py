@@ -87,12 +87,19 @@ class KeyCondition:
 
 @dataclass
 class SeqScanPlan(PlanNode):
-    """Full scan of a base table with an optional pushed-down filter."""
+    """Full scan of a base table with an optional pushed-down filter.
+
+    On a keyed virtual table, ``key_conditions`` holds the filter's
+    ``partition = P`` and ``seq > M`` / ``seq >= M`` conjuncts, which
+    the scan passes to the row provider; ``filter_expr`` still covers
+    them, so they only narrow what the provider builds.
+    """
 
     table_name: str
     binding: str
     columns: tuple[str, ...]
     filter_expr: ast.Expression | None = None
+    key_conditions: tuple[KeyCondition, ...] = ()
 
     @property
     def scope(self) -> Scope:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import DaemonConfig, EngineConfig
+from repro.config import DaemonConfig, EngineConfig, MonitorConfig
+from repro.core import ima
 from repro.core.alerts import (
     add_alert_listener,
     fired_alerts,
@@ -12,7 +13,12 @@ from repro.core.alerts import (
 from repro.core.daemon import StorageDaemon
 from repro.core.ima import IMA_TABLE_NAMES
 from repro.core.sensors import statement_hash
-from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
+from repro.core.workload_db import (
+    TABLE_SOURCES,
+    WORKLOAD_TABLES,
+    WorkloadDatabase,
+)
+from repro.engine.database import Database
 from repro.errors import MonitorError, ReproError
 from repro.setups import daemon_setup
 
@@ -85,6 +91,134 @@ class TestIma:
         assert monitor.workload.snapshot(min_seq=top) == []
         older = monitor.workload.snapshot(min_seq=0)
         assert len(older) >= 1
+
+
+class TestImaBoundedPoll:
+    """A poll reads only the rows newer than its marks, and planning it
+    builds no rows at all."""
+
+    def test_table_info_builds_no_rows(self, monkeypatch):
+        calls = []
+        rows = ima._ImaSource.rows
+
+        def counting(self, *args):
+            calls.append(args)
+            return rows(self, *args)
+
+        monkeypatch.setattr(ima._ImaSource, "rows", counting)
+        setup = daemon_setup("db", clock=VirtualClock(1_000_000.0))
+        session = setup.engine.connect("db")
+        session.execute("create table t (a int not null, primary key (a))")
+        session.execute("insert into t values (1), (2)")
+        session.execute("select a from t where a = 1")
+        database = setup.engine.database("db")
+        for name in IMA_TABLE_NAMES:
+            calls.clear()
+            info = database.table_info(name)
+            assert calls == [], name
+            assert info.row_count == len(database.virtual_rows(name))
+            assert info.virtual_key == ("shard", "seq")
+
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_full_ring_poll_builds_only_what_it_collects(self, monkeypatch,
+                                                        shard_count):
+        config = EngineConfig(monitor=MonitorConfig(
+            shard_count=shard_count, statement_buffer_size=8,
+            workload_buffer_size=16, reference_buffer_size=16))
+        setup = daemon_setup("db", config=config,
+                             clock=VirtualClock(1_000_000.0))
+        sessions = [setup.engine.connect("db") for _ in range(shard_count)]
+        sessions[0].execute("create table t (a int not null, "
+                            "primary key (a))")
+        for i in range(80):
+            sessions[i % shard_count].execute(f"insert into t values ({i})")
+        setup.daemon.poll_once()
+        for i in range(80, 83):
+            sessions[i % shard_count].execute(f"insert into t values ({i})")
+        database = setup.engine.database("db")
+        in_rings = sum(len(database.virtual_rows(name))
+                       for name in IMA_TABLE_NAMES)
+        assert len(database.virtual_rows("ima_workload")) == \
+            16 * shard_count  # the workload rings are full
+        built = []
+        read = Database.virtual_rows
+
+        def spy(self, *args):
+            result = read(self, *args)
+            built.append(len(result))
+            return result
+
+        monkeypatch.setattr(Database, "virtual_rows", spy)
+        stats = setup.daemon.poll_once()
+        assert len(built) == len(TABLE_SOURCES) * shard_count
+        assert sum(built) == stats.rows_collected
+        assert stats.rows_collected < in_rings
+
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_persisted_rows_match_an_unbounded_read(self, monkeypatch,
+                                                    shard_count):
+        """The daemon persists what it would persist if every poll read
+        the whole of every ring and filtered it (the unbounded provider
+        behind the same SQL).  Only measurements differ: the sensors'
+        own wall time, and the tuples (and CPU estimate derived from
+        them) that the daemon's poll statements report reading."""
+
+        def run():
+            config = EngineConfig(monitor=MonitorConfig(
+                shard_count=shard_count, statement_buffer_size=10,
+                workload_buffer_size=30, reference_buffer_size=40),
+                daemon=DaemonConfig(flush_every_polls=2))
+            setup = daemon_setup("db", config=config,
+                                 clock=VirtualClock(1_000_000.0))
+            sessions = [setup.engine.connect("db")
+                        for _ in range(2 * shard_count)]
+            sessions[0].execute("create table t (a int not null, b int, "
+                                "primary key (a))")
+            for i in range(90):
+                session = sessions[i % len(sessions)]
+                session.execute(f"insert into t values ({i}, {i % 7})")
+                if i % 5 == 0:
+                    session.execute(f"select * from t where b = {i % 7}")
+                if i % 13 == 0:
+                    setup.daemon.poll_once()
+            setup.daemon.poll_once()
+            setup.daemon.flush()
+            storage = setup.workload_db.database.storage_for
+            persisted = {schema.name: [row for _rid, row
+                                       in storage(schema.name).scan()]
+                         for schema in WORKLOAD_TABLES}
+            return persisted, {s.session_id for s in sessions}
+
+        bounded, foreground = run()
+        unbounded_read = Database.virtual_rows
+        monkeypatch.setattr(
+            Database, "virtual_rows",
+            lambda self, name, partition=None, min_seq=0:
+                unbounded_read(self, name))
+        reference, _foreground = run()
+
+        workload = next(s for s in WORKLOAD_TABLES
+                        if s.name == "wl_workload")
+        position = workload.column_index
+        measured = {position("monitor_time_s")}
+        poll_work = {position("tuples_processed"), position("actual_cpu")}
+        session = position("session_id")
+        for name, rows in bounded.items():
+            expected = reference[name]
+            assert [row[-1] for row in rows] == \
+                [row[-1] for row in expected], f"{name} src_seq"
+            if name != "wl_workload":
+                assert rows == expected, name
+                continue
+            assert any(row[session] not in foreground for row in rows)
+            for got, want in zip(rows, expected):
+                skip = measured | (poll_work if got[session] not in foreground
+                                   else set())
+                for index, (a, b) in enumerate(zip(got, want)):
+                    if index not in skip:
+                        assert a == b, (workload.columns[index].name, got)
+                    elif index in poll_work:
+                        assert a <= b  # a bounded poll reads no more
 
 
 class TestWorkloadDatabase:

@@ -1,6 +1,8 @@
 """Tests for the monitor's ring buffers."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
 
@@ -133,3 +135,117 @@ class TestKeyedRingBuffer:
         assert buffer.evicted == 1
         buffer.clear()
         assert buffer.evicted == 0
+
+
+# -- bounded snapshot properties ----------------------------------------------
+#
+# ``snapshot(min_seq)`` reads only the tail newer than ``min_seq`` (index
+# arithmetic on the ring, a walk back from the newest keyed entry); it
+# must equal filtering the full snapshot, after any mix of operations
+# that wraps the ring, evicts keys and clears.
+
+_RING_OPS = st.lists(
+    st.one_of(st.tuples(st.just("append"), st.integers(0, 99)),
+              st.tuples(st.just("clear"), st.just(0))),
+    max_size=60)
+
+_KEYED_OPS = st.lists(
+    st.tuples(st.sampled_from(["upsert", "bump", "clear"]),
+              st.integers(0, 7)),
+    max_size=60)
+
+
+def _assert_bounded_snapshots(buffer, newest_bound):
+    full = buffer.snapshot()
+    seqs = [seq for seq, _item in full]
+    assert seqs == sorted(set(seqs)), "snapshot not in ascending seq order"
+    for min_seq in range(0, newest_bound + 3):
+        assert buffer.snapshot(min_seq) == \
+            [pair for pair in full if pair[0] > min_seq]
+
+
+class TestBoundedSnapshotProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 6), ops=_RING_OPS)
+    def test_ring_tail_equals_filtered_snapshot(self, capacity, ops):
+        buffer = RingBuffer(capacity)
+        for op, value in ops:
+            if op == "append":
+                buffer.append(value)
+            else:
+                buffer.clear()
+        _assert_bounded_snapshots(buffer, buffer.total_appended)
+        # The window is the contiguous run of the newest seqs.
+        seqs = [seq for seq, _item in buffer.snapshot()]
+        newest = buffer.total_appended
+        assert seqs == list(range(newest - len(seqs) + 1, newest + 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 5), ops=_KEYED_OPS)
+    def test_keyed_tail_equals_filtered_snapshot(self, capacity, ops):
+        buffer = KeyedRingBuffer(capacity)
+        for op, key in ops:
+            if op == "upsert":
+                buffer.upsert(key, create=lambda k=key: (k, 0),
+                              update=lambda v: (v[0], v[1] + 1))
+            elif op == "bump":
+                buffer.bump(key, lambda v, step: (v[0], v[1] + step), 1)
+            else:
+                buffer.clear()
+        assert len(buffer) <= capacity
+        # Every op consumes at most one seq, so len(ops) bounds the newest.
+        _assert_bounded_snapshots(buffer, len(ops))
+
+
+class TestKeyedSeqOrderInvariant:
+    """LRU order is ascending ``updated_seq`` — what lets the keyed
+    ``snapshot(min_seq)`` stop at the first entry at or below the mark."""
+
+    def test_refresh_moves_key_to_the_end_with_a_fresh_seq(self):
+        buffer = KeyedRingBuffer(4)
+        for key in "abc":
+            buffer.upsert(key, create=lambda k=key: k)
+        buffer.upsert("a", create=lambda: "a", update=lambda v: v)
+        buffer.bump("b", lambda v, _arg: v, None)
+        pairs = buffer.snapshot()
+        assert [value for _seq, value in pairs] == ["c", "a", "b"]
+        assert [seq for seq, _value in pairs] == [3, 4, 5]
+        assert buffer.snapshot(3) == pairs[1:]
+
+    def test_missed_bump_consumes_no_seq(self):
+        buffer = KeyedRingBuffer(2)
+        buffer.upsert("a", create=lambda: "a")
+        assert not buffer.bump("zzz", lambda v, _arg: v, None)
+        buffer.upsert("b", create=lambda: "b")
+        assert [seq for seq, _value in buffer.snapshot()] == [1, 2]
+
+    def test_eviction_keeps_the_newest_suffix(self):
+        buffer = KeyedRingBuffer(2)
+        for key in "abcd":
+            buffer.upsert(key, create=lambda k=key: k)
+        assert buffer.snapshot() == [(3, "c"), (4, "d")]
+        assert buffer.snapshot(3) == [(4, "d")]
+        assert buffer.snapshot(4) == []
+
+
+class TestRingTailReads:
+    @pytest.mark.parametrize("appends", [0, 3, 5, 7, 12])
+    def test_tail_of_wrapped_and_unwrapped_rings(self, appends):
+        buffer = RingBuffer(5)
+        for i in range(appends):
+            buffer.append(i)
+        full = buffer.snapshot()
+        for min_seq in range(-1, appends + 2):
+            assert buffer.snapshot(min_seq) == \
+                [pair for pair in full if pair[0] > min_seq]
+
+    def test_tail_after_clear_continues_seq_space(self):
+        buffer = RingBuffer(3)
+        for i in range(4):
+            buffer.append(i)
+        buffer.clear()
+        buffer.append("x")
+        buffer.append("y")
+        assert buffer.snapshot() == [(5, "x"), (6, "y")]
+        assert buffer.snapshot(4) == [(5, "x"), (6, "y")]
+        assert buffer.snapshot(5) == [(6, "y")]

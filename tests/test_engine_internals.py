@@ -199,6 +199,36 @@ class TestDatabase:
         with pytest.raises(CatalogError):
             db.modify_table("vt", StorageStructure.BTREE)
 
+    def test_virtual_provider_key_error_is_not_a_missing_table(self, db):
+        schema = TableSchema("vt", (Column("x", DataType.INT),))
+
+        def broken() -> list[tuple]:
+            return [({}["missing"],)]
+
+        db.register_virtual_table(schema, broken)
+        with pytest.raises(KeyError):
+            db.virtual_rows("vt")
+        with pytest.raises(UnknownObjectError):
+            db.virtual_rows("no_such_table")
+
+    def test_keyed_virtual_table_gets_bounds(self, db):
+        schema = TableSchema("kv", (Column("part", DataType.INT),
+                                    Column("seq", DataType.INT)))
+        seen = []
+
+        def provider(partition, min_seq):
+            seen.append((partition, min_seq))
+            return [(0, 1), (0, 2), (1, 3)]
+
+        db.register_virtual_table(schema, provider,
+                                  key_columns=("part", "seq"),
+                                  row_count=lambda: 3)
+        assert db.table_info("kv").row_count == 3
+        assert seen == []
+        assert db.virtual_rows("kv", 0, 1) == [(0, 1), (0, 2), (1, 3)]
+        assert db.virtual_rows("kv") == [(0, 1), (0, 2), (1, 3)]
+        assert seen == [(0, 1), (None, 0)]
+
     def test_virtual_index_has_no_storage(self, db):
         db.create_index(IndexDef("v", "people", ("age",), virtual=True))
         with pytest.raises(UnknownObjectError):

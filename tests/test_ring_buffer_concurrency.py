@@ -10,9 +10,14 @@ Two bugs these pin down:
 * ``RingBuffer.clear()`` vs concurrent appenders — a snapshot taken
   around a clear must never mix pre-clear and post-clear sequence
   ranges; the window is always one contiguous, gap-free seq run.
+
+A third class polls with bounded ``snapshot(high_water)`` reads while
+writers run, the way the storage daemon does, and checks that no
+record is lost or read twice.
 """
 
 import random
+import sys
 import threading
 
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
@@ -106,3 +111,80 @@ class TestClearSnapshotUnderAppenders:
         buffer.append("after")
         (seq, item), = buffer.snapshot()
         assert item == "after" and seq == high + 1
+
+
+class TestBoundedPollUnderWriters:
+    """A poller that reads ``snapshot(high_water)`` and advances its mark
+    to the newest seq it saw must see every record exactly once."""
+
+    WRITERS = 6  # more than the cores a CI runner has
+
+    def _run(self, write, poll):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=write, args=(slot,))
+                   for slot in range(self.WRITERS)]
+        try:
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                poll()
+        finally:
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        poll()
+
+    def test_ring_poller_reads_every_append_once(self):
+        per_writer = 2000
+        buffer: RingBuffer[int] = RingBuffer(
+            capacity=self.WRITERS * per_writer)
+        seen: list[int] = []
+        mark = [0]
+
+        def write(_slot: int) -> None:
+            for value in range(per_writer):
+                buffer.append(value)
+
+        def poll() -> None:
+            newer = buffer.snapshot(mark[0])
+            seqs = [seq for seq, _item in newer]
+            assert seqs == list(range(mark[0] + 1, mark[0] + 1 + len(seqs)))
+            if seqs:
+                seen.extend(seqs)
+                mark[0] = seqs[-1]
+
+        self._run(write, poll)
+        assert seen == list(range(1, self.WRITERS * per_writer + 1))
+
+    def test_keyed_poller_sees_every_final_version(self):
+        buffer: KeyedRingBuffer[int, tuple[int, int]] = \
+            KeyedRingBuffer(capacity=64)
+        seen: dict[int, tuple[int, int]] = {}
+        mark = [0]
+
+        def write(slot: int) -> None:
+            rng = random.Random(slot)
+            for step in range(1500):
+                key = rng.randrange(96)  # more keys than slots: evictions
+                if step % 3:
+                    buffer.upsert(key, create=lambda: (slot, 0),
+                                  update=lambda v: (slot, v[1] + 1))
+                else:
+                    buffer.bump(key, lambda v, owner: (owner, v[1] + 1),
+                                slot)
+
+        def poll() -> None:
+            newer = buffer.snapshot(mark[0])
+            seqs = [seq for seq, _value in newer]
+            assert seqs == sorted(set(seqs))
+            assert all(seq > mark[0] for seq in seqs)
+            for seq, value in newer:
+                seen[seq] = value
+            if seqs:
+                mark[0] = seqs[-1]
+
+        self._run(write, poll)
+        for seq, value in buffer.snapshot():
+            assert seen.get(seq) == value

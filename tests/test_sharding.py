@@ -14,6 +14,7 @@ from repro import faultsim
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig, EngineConfig, MonitorConfig
 from repro.core.daemon import StorageDaemon
+from repro.core.ima import IMA_TABLE_NAMES, register_ima_tables
 from repro.core.monitor import IntegratedMonitor
 from repro.core.records import WorkloadRecord
 from repro.core.sensors import statement_hash
@@ -29,7 +30,8 @@ from repro.core.sharding import (
 )
 from repro.core.workload_db import TABLE_SOURCES
 from repro.errors import MonitorError
-from repro.setups import daemon_setup, monitoring_setup
+from repro.setups import daemon_setup, monitoring_setup, original_setup
+from repro.sql.parser import parse_statement
 
 
 def _record(text_hash: int, session_id: int, ts: float = 0.0) -> WorkloadRecord:
@@ -321,3 +323,201 @@ class TestShardedIma:
         assert seqs == sorted(seqs)
         for row in result.rows:
             assert row[1] == shard_of_seq(row[0])
+
+
+# -- bounded IMA reads --------------------------------------------------------
+#
+# A poll's ``where shard = S and seq > M`` is handed to the IMA provider,
+# which reads only shard S's tail.  The SQL result must equal filtering
+# the unbounded ``select *`` in Python.  The rings are filled through a
+# monitored engine and read through IMA tables registered on an
+# unmonitored one, so the reads do not change what they read.
+
+
+@pytest.fixture(params=[1, 3], ids=["1-shard", "3-shards"])
+def frozen_ima(request):
+    shard_count = request.param
+    clock = VirtualClock(1_000_000.0)
+    config = EngineConfig(monitor=MonitorConfig(
+        shard_count=shard_count, statement_buffer_size=6,
+        workload_buffer_size=12, reference_buffer_size=10,
+        statistics_buffer_size=4, plan_buffer_size=4,
+        plan_capture_min_cost=1e-9))
+    setup = monitoring_setup(config, clock)
+    engine = setup.engine
+    user_db = engine.create_database("db")
+    sessions = [engine.connect("db") for _ in range(2 * shard_count)]
+    sessions[0].execute("create table t (a int not null, b int, "
+                        "primary key (a))")
+    for i in range(40):
+        clock.advance(1.0)
+        session = sessions[i % len(sessions)]
+        session.execute(f"insert into t values ({i}, {i % 5})")
+        session.execute(f"select b from t where a = {i // 2}")
+        session.execute(f"select count(*) from t where a > {i}")
+    for shard in monitor_shards(setup.monitor):
+        for k in range(12):  # wraps the index-usage map too
+            shard.record_references(k, (), (), (f"t_idx{k}",))
+    reader = original_setup(clock=clock).engine
+    ima_db = reader.create_database("ima")
+    register_ima_tables(ima_db, setup.monitor, monitored_database=user_db)
+    return shard_count, reader.connect("ima")
+
+
+def _marks(rows, shard):
+    """0, around the middle of the shard's seqs, its newest, and past it."""
+    seqs = [row[0] for row in rows if row[1] == shard]
+    if not seqs:
+        return [0, 1, SHARD_STRIDE]
+    mid, newest = seqs[len(seqs) // 2], seqs[-1]
+    return sorted({0, mid - 1, mid, mid + 1, newest, newest + 1,
+                   newest + 10 * SHARD_STRIDE})
+
+
+class TestBoundedImaReads:
+    def test_rings_are_populated_and_wrapped(self, frozen_ima):
+        shard_count, reader = frozen_ima
+        for table in IMA_TABLE_NAMES:
+            rows = reader.execute(f"select * from {table}").rows
+            assert rows, f"{table} is empty: the tests below would be vacuous"
+            seqs = [row[0] for row in rows]
+            assert seqs == sorted(seqs), f"{table} not merged in seq order"
+        workload = reader.execute("select * from ima_workload").rows
+        assert len(workload) == 12 * shard_count  # every ring is full
+
+    def test_poll_query_equals_python_filter(self, frozen_ima):
+        shard_count, reader = frozen_ima
+        for table in IMA_TABLE_NAMES:
+            everything = reader.execute(f"select * from {table}").rows
+            for shard in range(shard_count):
+                for mark in _marks(everything, shard):
+                    expected = [row for row in everything
+                                if row[1] == shard and row[0] > mark]
+                    got = reader.execute(
+                        f"select * from {table} "
+                        f"where shard = {shard} and seq > {mark}").rows
+                    assert got == expected, (table, shard, mark)
+
+    def test_bound_spellings_equal_python_filter(self, frozen_ima):
+        shard_count, reader = frozen_ima
+        everything = reader.execute("select * from ima_workload").rows
+        for shard in range(shard_count):
+            for mark in _marks(everything, shard):
+                newer = [row for row in everything
+                         if row[1] == shard and row[0] > mark]
+                at_least = [row for row in everything
+                            if row[1] == shard and row[0] >= mark]
+                spellings = {
+                    f"shard = {shard} and seq >= {mark}": at_least,
+                    f"shard = {shard} and seq = {mark}": [
+                        row for row in at_least if row[0] == mark],
+                    f"{mark} < seq and {shard} = shard": newer,
+                    f"ima_workload.seq > {mark} "
+                    f"and ima_workload.shard = {shard}": newer,
+                    f"shard = {shard} and seq between {mark} and "
+                    f"{mark + 3 * SHARD_STRIDE}": [
+                        row for row in at_least
+                        if row[0] <= mark + 3 * SHARD_STRIDE],
+                }
+                for where, expected in spellings.items():
+                    got = reader.execute(
+                        f"select * from ima_workload where {where}").rows
+                    assert got == expected, where
+
+    @pytest.mark.parametrize("shard", [-1, 3, SHARD_STRIDE, 99])
+    def test_out_of_range_shard_reads_nothing(self, frozen_ima, shard):
+        _shard_count, reader = frozen_ima
+        for table in IMA_TABLE_NAMES:
+            assert reader.execute(
+                f"select * from {table} where shard = {shard} "
+                f"and seq > 0").rows == []
+
+    def test_join_of_two_ima_tables(self, frozen_ima):
+        shard_count, reader = frozen_ima
+        workload = reader.execute("select * from ima_workload").rows
+        statements = reader.execute("select * from ima_statements").rows
+        for shard in range(shard_count):
+            for mark in _marks(workload, shard):
+                expected = sorted(
+                    (w[0], s[0]) for w in workload for s in statements
+                    if w[1] == shard and w[0] > mark and s[1] == shard
+                    and s[2] == w[2])
+                got = reader.execute(
+                    f"select w.seq, s.seq from ima_workload w, "
+                    f"ima_statements s where w.shard = {shard} "
+                    f"and w.seq > {mark} and s.shard = {shard} "
+                    f"and s.text_hash = w.text_hash").rows
+                assert sorted(got) == expected, (shard, mark)
+
+    def test_unpushed_shapes_keep_their_rows(self, frozen_ima):
+        shard_count, reader = frozen_ima
+        everything = reader.execute("select * from ima_workload").rows
+        shard = shard_count - 1
+        for mark in _marks(everything, shard):
+            shapes = {
+                f"shard = {shard} or seq > {mark}":
+                    lambda row: row[1] == shard or row[0] > mark,
+                f"shard = {shard} and seq < {mark}":
+                    lambda row: row[1] == shard and row[0] < mark,
+                f"shard = {shard} and not (seq <= {mark})":
+                    lambda row: row[1] == shard and row[0] > mark,
+                f"shard = {shard} and seq > {mark}.5":
+                    lambda row: row[1] == shard and row[0] > mark + 0.5,
+            }
+            for where, keep in shapes.items():
+                got = reader.execute(
+                    f"select * from ima_workload where {where}").rows
+                assert got == [row for row in everything if keep(row)], where
+
+
+def _scan_key_conditions(session, sql):
+    plan = session.optimizer.optimize_select(parse_statement(sql)).plan
+    return [node.key_conditions for node in plan.walk()
+            if hasattr(node, "key_conditions")]
+
+
+class TestImaPushdownPlans:
+    """Which conditions reach the provider: ``shard = S`` plus a
+    ``seq >`` / ``seq >=`` floor, integer literals only."""
+
+    @pytest.fixture
+    def reader(self):
+        setup = daemon_setup("db", clock=VirtualClock(1_000_000.0))
+        return setup.engine.connect("db")
+
+    def test_poll_query_is_pushed(self, reader):
+        (conditions,) = _scan_key_conditions(
+            reader, "select * from ima_workload where shard = 0 and seq > 7")
+        assert [(c.column, c.op, c.value) for c in conditions] == [
+            ("shard", "=", 0), ("seq", ">", 7)]
+
+    @pytest.mark.parametrize("where", [
+        "shard = 0 or seq > 7",
+        "not (shard <> 0)",
+        "seq > 7",
+        "shard > 0 and seq > 7",
+        "shard = '0' and seq > 7",
+        "shard = 0.0 and seq > 7",
+    ])
+    def test_nothing_pushed(self, reader, where):
+        assert _scan_key_conditions(
+            reader, f"select * from ima_workload where {where}") == [()]
+
+    def test_upper_and_non_int_seq_bounds_stay_in_the_filter(self, reader):
+        for where in ("shard = 1 and seq < 7", "shard = 1 and seq <= 7",
+                      "shard = 1 and seq > 7.5"):
+            (conditions,) = _scan_key_conditions(
+                reader, f"select * from ima_workload where {where}")
+            assert [(c.column, c.op) for c in conditions] == [("shard", "=")]
+
+    def test_unkeyed_virtual_table_is_never_pushed(self, reader):
+        from repro.catalog.schema import Column, DataType, TableSchema
+
+        database = reader.database
+        schema = TableSchema("vt", (Column("shard", DataType.INT),
+                                    Column("seq", DataType.INT)))
+        database.register_virtual_table(schema, lambda: [(0, 1), (0, 2)])
+        assert _scan_key_conditions(
+            reader, "select * from vt where shard = 0 and seq > 1") == [()]
+        assert reader.execute(
+            "select * from vt where shard = 0 and seq > 1").rows == [(0, 2)]
