@@ -10,10 +10,19 @@ Rows are ordered by the *effective key*: the values of the key columns,
 NULLs-first, with the rowid appended as a tiebreaker so duplicate keys
 have a total order.  Internal separator keys carry the rowid too, which
 keeps routing deterministic across duplicate runs.
+
+Searching
+---------
+Pages store raw keys.  Every search — the child choice in an internal
+node and the position in a leaf — bisects over keys normalized on
+demand through :func:`_norm_key`, so a probe normalizes
+O(height · log fanout) keys instead of every key of every node it
+visits.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Iterator
 
 from repro.catalog.schema import Column, DataType, TableSchema
@@ -26,12 +35,9 @@ from repro.storage.page import NO_PAGE, InternalPage, LeafPage, page_kind, KIND_
 _NULL = (0,)
 
 
-def _norm(value: Any) -> tuple:
-    return _NULL if value is None else (1, value)
-
-
 def _norm_key(values: Iterable[Any]) -> tuple:
-    return tuple(_norm(v) for v in values)
+    """Normalize one key (or key prefix); every search goes through here."""
+    return tuple([_NULL if v is None else (1, v) for v in values])
 
 
 class BTreeStorage:
@@ -76,12 +82,35 @@ class BTreeStorage:
     def _ekey(self, row: tuple[Any, ...], rowid: int) -> tuple:
         return _norm_key(self.key_of(row)) + ((1, rowid),)
 
-    def _sep_ekey(self, sep: tuple[Any, ...]) -> tuple:
+    @staticmethod
+    def _sep_ekey(sep: tuple[Any, ...]) -> tuple:
         return _norm_key(sep[:-1]) + ((1, sep[-1]),)
 
-    def _leaf_ekeys(self, leaf: LeafPage) -> list[tuple]:
-        return [self._ekey(row, rowid)
-                for rowid, row in zip(leaf.rowids, leaf.rows)]
+    def _leaf_search(self, leaf: LeafPage, target: tuple, right: bool = False,
+                     start: int = 0) -> int:
+        """First position from ``start`` whose ekey prefix is >= ``target``
+        (> ``target`` when ``right``), comparing on ``len(target)``
+        elements and normalizing only the probed rows."""
+        width = len(target)
+        positions = self._key_positions
+        rows = leaf.rows
+        if width <= len(positions):
+            prefix = positions[:width]
+
+            def probe(pos: int) -> tuple:
+                row = rows[pos]
+                return _norm_key([row[i] for i in prefix])
+        else:
+            rowids = leaf.rowids
+
+            def probe(pos: int) -> tuple:
+                return self._ekey(rows[pos], rowids[pos])[:width]
+        search = bisect_right if right else bisect_left
+        return search(range(len(rows)), target, start, key=probe)
+
+    def _leaf_entry_is(self, leaf: LeafPage, pos: int, rowid: int) -> bool:
+        """True if ``leaf`` holds ``rowid`` at ``pos``."""
+        return pos < len(leaf) and leaf.rowids[pos] == rowid
 
     # -- page plumbing -----------------------------------------------------
 
@@ -140,15 +169,7 @@ class BTreeStorage:
 
     def _child_index(self, node: InternalPage, ekey: tuple) -> int:
         """Index of the child that should contain ``ekey``."""
-        seps = [self._sep_ekey(sep) for sep in node.keys]
-        lo, hi = 0, len(seps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ekey < seps[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect_right(node.keys, ekey, key=self._sep_ekey)
 
     def _descend(self, ekey: tuple) -> list[tuple[int, Any, int]]:
         """Walk from the root to the leaf for ``ekey``.
@@ -167,32 +188,6 @@ class BTreeStorage:
             path.append((page_id, page, idx))
             page_id = page.children[idx]
 
-    @staticmethod
-    def _bisect_left(ekeys: list[tuple], target: tuple) -> int:
-        """First position whose ekey prefix is >= target (prefix compare)."""
-        width = len(target)
-        lo, hi = 0, len(ekeys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ekeys[mid][:width] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    @staticmethod
-    def _bisect_right(ekeys: list[tuple], target: tuple) -> int:
-        """First position whose ekey prefix is > target (prefix compare)."""
-        width = len(target)
-        lo, hi = 0, len(ekeys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ekeys[mid][:width] <= target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     # -- mutation ----------------------------------------------------------
 
     def insert(self, rowid: int, row: tuple[Any, ...]) -> None:
@@ -202,15 +197,15 @@ class BTreeStorage:
         ekey = _norm_key(key) + ((1, rowid),)
         path = self._descend(ekey)
         leaf_id, leaf, _ = path[-1]
-        ekeys = self._leaf_ekeys(leaf)
         if self.unique:
             norm = _norm_key(key)
-            pos = self._bisect_left(ekeys, norm)
-            if pos < len(ekeys) and ekeys[pos][: len(norm)] == norm:
+            pos = self._leaf_search(leaf, norm)
+            if pos < len(leaf) and _norm_key(
+                    self.key_of(leaf.rows[pos])) == norm:
                 raise StorageError(
                     f"duplicate key {key!r} in unique B-Tree {self.schema.name!r}"
                 )
-        pos = self._bisect_left(ekeys, ekey)
+        pos = self._leaf_search(leaf, ekey)
         leaf.insert_at(pos, rowid, row)
         self._pool.put(leaf_id, leaf)
         self._rowid_key[rowid] = key
@@ -237,7 +232,7 @@ class BTreeStorage:
         if not parents:
             new_root_id, new_root = self._new_internal()
             left_child = self._root
-            new_root.children.append(left_child)
+            new_root.set_first_child(left_child)
             new_root.insert_child(0, sep, right_child)
             self._root = new_root_id
             self._height += 1
@@ -260,9 +255,8 @@ class BTreeStorage:
         ekey = _norm_key(key) + ((1, rowid),)
         path = self._descend(ekey)
         leaf_id, leaf, _ = path[-1]
-        ekeys = self._leaf_ekeys(leaf)
-        pos = self._bisect_left(ekeys, ekey)
-        if pos >= len(ekeys) or ekeys[pos] != ekey:
+        pos = self._leaf_search(leaf, ekey)
+        if not self._leaf_entry_is(leaf, pos, rowid):
             raise StorageError(f"rowid {rowid} not found in B-Tree")
         _, row = leaf.delete_at(pos)
         self._pool.put(leaf_id, leaf)
@@ -277,9 +271,8 @@ class BTreeStorage:
             ekey = _norm_key(old_key) + ((1, rowid),)
             path = self._descend(ekey)
             leaf_id, leaf, _ = path[-1]
-            ekeys = self._leaf_ekeys(leaf)
-            pos = self._bisect_left(ekeys, ekey)
-            if pos >= len(ekeys) or ekeys[pos] != ekey:
+            pos = self._leaf_search(leaf, ekey)
+            if not self._leaf_entry_is(leaf, pos, rowid):
                 raise StorageError(f"rowid {rowid} not found in B-Tree")
             leaf.delete_at(pos)
             leaf.insert_at(pos, rowid, row)
@@ -302,9 +295,8 @@ class BTreeStorage:
         ekey = _norm_key(key) + ((1, rowid),)
         path = self._descend(ekey)
         _, leaf, _ = path[-1]
-        ekeys = self._leaf_ekeys(leaf)
-        pos = self._bisect_left(ekeys, ekey)
-        if pos >= len(ekeys) or ekeys[pos] != ekey:
+        pos = self._leaf_search(leaf, ekey)
+        if not self._leaf_entry_is(leaf, pos, rowid):
             raise StorageError(f"rowid {rowid} not found in B-Tree")
         return leaf.rows[pos]
 
@@ -339,23 +331,20 @@ class BTreeStorage:
             path = self._descend(norm_lo if lo_inclusive
                                  else norm_lo + ((2,),))
             page_id, leaf, _ = path[-1]
-            ekeys = self._leaf_ekeys(leaf)
-            if lo_inclusive:
-                start_pos = self._bisect_left(ekeys, norm_lo)
-            else:
-                start_pos = self._bisect_right(ekeys, norm_lo)
+            start_pos = self._leaf_search(leaf, norm_lo,
+                                          right=not lo_inclusive)
         norm_hi = _norm_key(hi) if hi is not None else None
         while page_id != NO_PAGE:
             leaf = self._load(page_id)
-            for pos in range(start_pos, len(leaf)):
-                row = leaf.rows[pos]
-                rowid = leaf.rowids[pos]
-                if norm_hi is not None:
-                    prefix = _norm_key(self.key_of(row)[: len(norm_hi)])
-                    if prefix > norm_hi or (prefix == norm_hi
-                                            and not hi_inclusive):
-                        return
-                yield rowid, row
+            stop = len(leaf)
+            if norm_hi is not None:
+                # The first entry past ``hi`` ends the scan in this leaf.
+                stop = self._leaf_search(leaf, norm_hi, right=hi_inclusive,
+                                         start=start_pos)
+            for pos in range(start_pos, stop):
+                yield leaf.rowids[pos], leaf.rows[pos]
+            if stop < len(leaf):
+                return
             page_id = leaf.next_leaf
             start_pos = 0
 
@@ -409,7 +398,7 @@ class BTreeStorage:
         while len(level) > 1:
             next_level: list[tuple[int, tuple[Any, ...] | None]] = []
             node_id, node = self._new_internal()
-            node.children.append(level[0][0])
+            node.set_first_child(level[0][0])
             node_first_sep = level[0][1]
             for child_id, sep in level[1:]:
                 assert sep is not None  # only the first leaf can be empty
@@ -417,7 +406,7 @@ class BTreeStorage:
                     self._pool.put(node_id, node)
                     next_level.append((node_id, node_first_sep))
                     node_id, node = self._new_internal()
-                    node.children.append(child_id)
+                    node.set_first_child(child_id)
                     node_first_sep = sep
                     continue
                 node.insert_child(len(node.keys), sep, child_id)

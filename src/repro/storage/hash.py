@@ -20,7 +20,7 @@ from repro.errors import StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.page import HeapPage
-from repro.storage.record import row_size
+from repro.storage.record import codec_for
 
 
 def stable_hash(values: tuple[Any, ...]) -> int:
@@ -57,6 +57,7 @@ class HashStorage:
         if buckets < 1:
             raise StorageError(f"need >= 1 bucket, got {buckets}")
         self.schema = schema
+        self._row_size = codec_for(schema).size
         self.key_columns = tuple(key_columns)
         self.unique = unique
         self.buckets = buckets
@@ -137,9 +138,10 @@ class HashStorage:
     def insert(self, rowid: int, row: tuple[Any, ...]) -> None:
         if rowid in self._rowid_to_page:
             raise StorageError(f"duplicate rowid {rowid}")
-        if row_size(self.schema, row) > self._fill_capacity:
+        size = self._row_size(row)
+        if size > self._fill_capacity:
             raise StorageError(
-                f"row of {row_size(self.schema, row)} bytes exceeds the "
+                f"row of {size} bytes exceeds the "
                 f"usable page capacity {self._fill_capacity}"
             )
         key = self.key_of(row)
@@ -154,12 +156,12 @@ class HashStorage:
         target_page: HeapPage | None = None
         for page_id in self._chains[bucket]:
             page = self._load(page_id)
-            if page.fits(row):
+            if page.fits(row, size):
                 target_id, target_page = page_id, page
                 break
         if target_page is None:
             target_id, target_page = self._new_page(bucket)
-        target_page.insert(rowid, row)
+        target_page.insert(rowid, row, size)
         self._pool.put(target_id, target_page)
         self._rowid_to_page[rowid] = target_id
         self._rowid_to_bucket[rowid] = bucket

@@ -17,7 +17,7 @@ from repro.errors import StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.page import HeapPage
-from repro.storage.record import row_size
+from repro.storage.record import codec_for
 
 
 class HeapStorage:
@@ -31,6 +31,7 @@ class HeapStorage:
         if main_pages < 1:
             raise StorageError(f"heap needs >= 1 main page, got {main_pages}")
         self.schema = schema
+        self._row_size = codec_for(schema).size
         self._disk = disk
         self._pool = pool
         self.main_page_budget = main_pages
@@ -101,10 +102,11 @@ class HeapStorage:
         stored prefix whose bookkeeping matches its pages.
         """
         sizes: list[int] = []
+        row_size = self._row_size
         for rowid, row in zip(rowids, rows):
             if rowid in self._rowid_to_page:
                 raise StorageError(f"duplicate rowid {rowid}")
-            size = row_size(self.schema, row)
+            size = row_size(row)
             if size > self._fill_capacity:
                 raise StorageError(
                     f"row of {size} bytes exceeds the "

@@ -9,63 +9,96 @@ on-disk footprint) are computed from real byte counts:
 * FLOAT: 8-byte IEEE 754 double,
 * BOOL: 1 byte,
 * VARCHAR/TEXT: 2-byte length prefix + UTF-8 bytes.
+
+The format is read and written by one :class:`RecordCodec` per
+column-type signature.  Its functions are generated once with
+:func:`compile` and shared by every schema with the same signature: a
+row without NULLs decodes in straight-line code that unpacks each run
+of fixed-width columns, together with the length prefix of the string
+that ends it, in one :mod:`struct` call; a row with NULLs takes a
+per-column path that tests the bitmap inline.  The generated source is
+built only from :class:`DataType` members and integer offsets — never
+from column names or SQL text — so no user identifier reaches
+``compile``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from repro.catalog.schema import DataType, TableSchema
 from repro.errors import StorageError
 
-_INT = struct.Struct("<q")
-_FLOAT = struct.Struct("<d")
-_LEN = struct.Struct("<H")
-
 MAX_STRING_BYTES = 0xFFFF
+
+# struct code and byte width of each fixed-width type; every other type
+# is a length-prefixed UTF-8 string.
+_FIXED: dict[DataType, tuple[str, int]] = {
+    DataType.INT: ("q", 8),
+    DataType.FLOAT: ("d", 8),
+    DataType.BOOL: ("?", 1),
+}
+_LEN_CODE = "H"
+_LEN_SIZE = 2
+
+
+def _string_too_long(length: int) -> NoReturn:
+    raise StorageError(
+        f"string value of {length} bytes exceeds the "
+        f"{MAX_STRING_BYTES}-byte storage limit"
+    )
+
+
+class RecordCodec:
+    """Decoder, encoder and sizer for one column-type signature.
+
+    * ``decode(data, offset)`` returns ``(row, next_offset)``;
+    * ``encode(row)`` returns the row's bytes (the row is already
+      schema-checked);
+    * ``size(row)`` returns ``len(encode(row))`` without encoding.
+
+    ``source`` is the generated Python source, kept for inspection.
+    """
+
+    __slots__ = ("decode", "encode", "size", "source")
+
+    def __init__(self, signature: tuple[DataType, ...]) -> None:
+        self.source, namespace = _generate(signature)
+        name = ",".join(data_type.name for data_type in signature)
+        exec(compile(self.source, f"<record codec {name}>", "exec"), namespace)
+        self.decode: Callable[[bytes, int], tuple[tuple[Any, ...], int]] = \
+            namespace["decode"]
+        self.encode: Callable[[Sequence[Any]], bytes] = namespace["encode"]
+        self.size: Callable[[Sequence[Any]], int] = namespace["size"]
+
+
+_CODECS: dict[tuple[DataType, ...], RecordCodec] = {}
+
+
+def codec_for(schema: TableSchema) -> RecordCodec:
+    """The shared codec for ``schema``'s column-type signature."""
+    signature = tuple(column.data_type for column in schema.columns)
+    codec = _CODECS.get(signature)
+    if codec is None:
+        codec = _compile(signature)
+    return codec
+
+
+# staticcheck: coldpath(compiled-once-per-type-signature)
+def _compile(signature: tuple[DataType, ...]) -> RecordCodec:
+    # Two threads may both compile; setdefault keeps one codec.
+    return _CODECS.setdefault(signature, RecordCodec(signature))
 
 
 def row_size(schema: TableSchema, row: Sequence[Any]) -> int:
     """Return the serialized size of ``row`` in bytes without packing it."""
-    size = (len(schema.columns) + 7) // 8
-    for column, value in zip(schema.columns, row):
-        if value is None:
-            continue
-        if column.data_type in (DataType.INT, DataType.FLOAT):
-            size += 8
-        elif column.data_type is DataType.BOOL:
-            size += 1
-        else:
-            size += 2 + len(str(value).encode("utf-8"))
-    return size
+    return codec_for(schema).size(row)
 
 
 def pack_row(schema: TableSchema, row: Sequence[Any]) -> bytes:
     """Serialize ``row`` (already schema-checked) to bytes."""
-    n_cols = len(schema.columns)
-    bitmap = bytearray((n_cols + 7) // 8)
-    parts: list[bytes] = []
-    for i, (column, value) in enumerate(zip(schema.columns, row)):
-        if value is None:
-            bitmap[i // 8] |= 1 << (i % 8)
-            continue
-        if column.data_type is DataType.INT:
-            parts.append(_INT.pack(value))
-        elif column.data_type is DataType.FLOAT:
-            parts.append(_FLOAT.pack(value))
-        elif column.data_type is DataType.BOOL:
-            parts.append(b"\x01" if value else b"\x00")
-        else:
-            encoded = value.encode("utf-8")
-            if len(encoded) > MAX_STRING_BYTES:
-                raise StorageError(
-                    f"string value of {len(encoded)} bytes exceeds the "
-                    f"{MAX_STRING_BYTES}-byte storage limit"
-                )
-            parts.append(_LEN.pack(len(encoded)))
-            parts.append(encoded)
-    return bytes(bitmap) + b"".join(parts)
+    return codec_for(schema).encode(row)
 
 
 def unpack_row(schema: TableSchema, data: bytes, offset: int = 0) -> tuple[tuple[Any, ...], int]:
@@ -73,27 +106,139 @@ def unpack_row(schema: TableSchema, data: bytes, offset: int = 0) -> tuple[tuple
 
     Returns ``(row, next_offset)``.
     """
-    n_cols = len(schema.columns)
-    bitmap_len = (n_cols + 7) // 8
-    bitmap = data[offset : offset + bitmap_len]
-    pos = offset + bitmap_len
-    values: list[Any] = []
-    for i, column in enumerate(schema.columns):
-        if bitmap[i // 8] & (1 << (i % 8)):
-            values.append(None)
-            continue
-        if column.data_type is DataType.INT:
-            values.append(_INT.unpack_from(data, pos)[0])
-            pos += 8
-        elif column.data_type is DataType.FLOAT:
-            values.append(_FLOAT.unpack_from(data, pos)[0])
-            pos += 8
-        elif column.data_type is DataType.BOOL:
-            values.append(data[pos] != 0)
-            pos += 1
+    return codec_for(schema).decode(data, offset)
+
+
+# -- source generation ------------------------------------------------------
+
+
+def _runs(signature: tuple[DataType, ...]) -> list[tuple[list[int], int | None]]:
+    """Split the columns into ``(fixed column indexes, string index)``
+    runs: each run is the fixed-width columns up to and including the
+    next string column (``None`` for a trailing all-fixed run)."""
+    runs: list[tuple[list[int], int | None]] = []
+    fixed: list[int] = []
+    for i, data_type in enumerate(signature):
+        if data_type in _FIXED:
+            fixed.append(i)
         else:
-            (length,) = _LEN.unpack_from(data, pos)
-            pos += 2
-            values.append(data[pos : pos + length].decode("utf-8"))
-            pos += length
-    return tuple(values), pos
+            runs.append((fixed, i))
+            fixed = []
+    if fixed:
+        runs.append((fixed, None))
+    return runs
+
+
+def _generate(signature: tuple[DataType, ...]) -> tuple[str, dict[str, Any]]:
+    """Source of ``decode``/``encode``/``size`` for ``signature`` and the
+    namespace of struct helpers it refers to."""
+    n = len(signature)
+    nbytes = (n + 7) // 8
+    namespace: dict[str, Any] = {"_string_too_long": _string_too_long}
+    values = ", ".join(f"v{i}" for i in range(n))
+    row_expr = f"({values},)" if n else "()"
+    runs = _runs(signature)
+
+    def helper(prefix: str, fmt: str) -> tuple[str, int]:
+        compiled = struct.Struct("<" + fmt)
+        name = f"_{prefix}{len(namespace)}"
+        namespace[name] = (compiled.unpack_from if prefix == "u"
+                           else compiled.pack)
+        return name, compiled.size
+
+    if nbytes == 0:
+        bitmap = "0"
+    elif nbytes == 1:
+        bitmap = "data[pos]"
+    else:
+        bitmap = f"int.from_bytes(data[pos:pos + {nbytes}], 'little')"
+
+    # decode: straight-line when the bitmap is clear, per column otherwise.
+    lines = ["def decode(data, pos):",
+             f"    bm = {bitmap}",
+             f"    p = pos + {nbytes}",
+             "    if not bm:"]
+    for fixed, string in runs:
+        targets = [f"v{i}" for i in fixed]
+        fmt = "".join(_FIXED[signature[i]][0] for i in fixed)
+        if string is not None:
+            targets.append(f"n{string}")
+            fmt += _LEN_CODE
+        name, width = helper("u", fmt)
+        lines.append(f"        ({', '.join(targets)},) = {name}(data, p)")
+        lines.append(f"        p += {width}")
+        if string is not None:
+            lines.append(f"        v{string} = data[p:p + n{string}]"
+                         f".decode('utf-8')")
+            lines.append(f"        p += n{string}")
+    lines.append(f"        return {row_expr}, p")
+    for i, data_type in enumerate(signature):
+        lines.append(f"    if bm & {1 << i}:")
+        lines.append(f"        v{i} = None")
+        if data_type is DataType.BOOL:
+            lines.append(f"    else:\n        v{i} = data[p] != 0\n        p += 1")
+        elif data_type in _FIXED:
+            name, width = helper("u", _FIXED[data_type][0])
+            lines.append(f"    else:\n        (v{i},) = {name}(data, p)\n"
+                         f"        p += {width}")
+        else:
+            name, width = helper("u", _LEN_CODE)
+            lines.append(f"    else:\n        (n,) = {name}(data, p)\n"
+                         f"        p += {width}\n"
+                         f"        v{i} = data[p:p + n].decode('utf-8')\n"
+                         f"        p += n")
+    lines.append(f"    return {row_expr}, p")
+
+    # encode: one pack per fixed run when no column is NULL.
+    lines.append("def encode(row):")
+    lines.extend(f"    v{i} = row[{i}]" for i in range(n))
+    present = " and ".join(f"v{i} is not None" for i in range(n)) or "True"
+    lines.append(f"    if {present}:")
+    parts: list[str] = []
+    for index, (fixed, string) in enumerate(runs):
+        args = [f"v{i}" for i in fixed]
+        fmt = ("x" * nbytes if index == 0 else "") + "".join(
+            _FIXED[signature[i]][0] for i in fixed)
+        if string is not None:
+            lines.append(f"        b{string} = v{string}.encode('utf-8')")
+            lines.append(f"        if len(b{string}) > {MAX_STRING_BYTES}:")
+            lines.append(f"            _string_too_long(len(b{string}))")
+            args.append(f"len(b{string})")
+            fmt += _LEN_CODE
+        name, _width = helper("p", fmt)
+        parts.append(f"{name}({', '.join(args)})")
+        if string is not None:
+            parts.append(f"b{string}")
+    if not parts:
+        parts.append(repr(bytes(nbytes)))
+    lines.append(f"        return b''.join(({', '.join(parts)},))")
+    lines.append("    bm = 0")
+    lines.append("    out = []")
+    for i, data_type in enumerate(signature):
+        lines.append(f"    if v{i} is None:")
+        lines.append(f"        bm |= {1 << i}")
+        if data_type in _FIXED:
+            name, _width = helper("p", _FIXED[data_type][0])
+            lines.append(f"    else:\n        out.append({name}(v{i}))")
+        else:
+            name, _width = helper("p", _LEN_CODE)
+            lines.append(f"    else:\n        b = v{i}.encode('utf-8')\n"
+                         f"        if len(b) > {MAX_STRING_BYTES}:\n"
+                         f"            _string_too_long(len(b))\n"
+                         f"        out.append({name}(len(b)))\n"
+                         f"        out.append(b)")
+    lines.append(f"    return bm.to_bytes({nbytes}, 'little') + b''.join(out)")
+
+    # size: string lengths without encoding ASCII text.
+    lines.append("def size(row):")
+    lines.append(f"    n = {nbytes}")
+    for i, data_type in enumerate(signature):
+        lines.append(f"    v = row[{i}]")
+        lines.append("    if v is not None:")
+        if data_type in _FIXED:
+            lines.append(f"        n += {_FIXED[data_type][1]}")
+        else:
+            lines.append(f"        n += {_LEN_SIZE} + (len(v) if v.isascii() "
+                         f"else len(v.encode('utf-8')))")
+    lines.append("    return n")
+    return "\n".join(lines) + "\n", namespace

@@ -5,7 +5,10 @@ engine (parser -> optimizer -> executor over real storage) and by a
 deliberately simple in-Python evaluator.  Results must agree as
 multisets — across heap, B-Tree and hash layouts, with and without
 secondary indexes, so every access path is cross-checked against the
-same oracle.
+same oracle.  The tiny-pool arm repeats the single-table and join cases
+with a buffer pool of 2–4 pages, emptied before each query, so the
+pages a query reads are decoded from their bytes rather than served
+from memory.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.config import EngineConfig, StorageConfig
 from repro.setups import original_setup
 
 COLUMNS = ("a", "b", "s")
@@ -52,13 +56,35 @@ def predicate_sql_and_oracle(spec):
     return sql, oracle
 
 
+TINY_POOLS = st.integers(2, 4)
+
+
+def _connect(pool_pages: int | None):
+    config = None if pool_pages is None else EngineConfig(
+        storage=StorageConfig(buffer_pool_pages=pool_pages))
+    setup = original_setup(config)
+    setup.engine.create_database("d")
+    return setup.engine.connect("d")
+
+
+def _query(session, sql, pool_pages, has_rows):
+    """Run ``sql``; on a tiny pool, from a cold cache, so every page the
+    statement touches is decoded from its bytes."""
+    if pool_pages is None:
+        return session.execute(sql)
+    session.database.pool.clear()
+    disk = session.database.disk
+    reads = disk.counters().reads
+    result = session.execute(sql)
+    assert disk.counters().reads > reads or not has_rows
+    return result
+
+
 class _Database:
     """One engine + loaded table per hypothesis example."""
 
-    def __init__(self, rows, layout: str):
-        setup = original_setup()
-        setup.engine.create_database("d")
-        self.session = setup.engine.connect("d")
+    def __init__(self, rows, layout: str, pool_pages: int | None = None):
+        self.session = _connect(pool_pages)
         self.session.execute(
             "create table t (pk int not null, a int, b int, s varchar(20), "
             "primary key (pk))")
@@ -84,53 +110,67 @@ def query_case(draw):
     return rows, layout, spec
 
 
+def check_filter(case, pool_pages=None):
+    rows, layout, spec = case
+    database = _Database(rows, layout, pool_pages)
+    sql_pred, oracle = predicate_sql_and_oracle(spec)
+    result = _query(database.session,
+                    f"select a, b, s from t where {sql_pred}", pool_pages,
+                    bool(rows))
+    expected = sorted(
+        (row for row in rows if oracle(row)),
+        key=lambda r: (str(type(r[1])), str(r)),
+    )
+    got = sorted(result.rows, key=lambda r: (str(type(r[1])), str(r)))
+    assert got == expected
+
+
+def check_aggregates(case, pool_pages=None):
+    rows, layout, spec = case
+    database = _Database(rows, layout, pool_pages)
+    sql_pred, oracle = predicate_sql_and_oracle(spec)
+    result = _query(database.session,
+                    f"select count(*), count(b), sum(a), min(a), max(a) "
+                    f"from t where {sql_pred}", pool_pages, bool(rows))
+    matching = [row for row in rows if oracle(row)]
+    count_star, count_b, sum_a, min_a, max_a = result.rows[0]
+    assert count_star == len(matching)
+    assert count_b == sum(1 for r in matching if r[1] is not None)
+    assert sum_a == (sum(r[0] for r in matching) if matching else None)
+    assert min_a == (min((r[0] for r in matching), default=None))
+    assert max_a == (max((r[0] for r in matching), default=None))
+
+
+def check_group_by(rows, layout, pool_pages=None):
+    database = _Database(rows, layout, pool_pages)
+    result = _query(database.session,
+                    "select a, count(*) from t group by a order by a",
+                    pool_pages, bool(rows))
+    expected: dict[int, int] = {}
+    for row in rows:
+        expected[row[0]] = expected.get(row[0], 0) + 1
+    assert result.rows == sorted(expected.items())
+
+
 class TestSingleTableDifferential:
     @given(case=query_case())
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_filter_matches_oracle(self, case):
-        rows, layout, spec = case
-        database = _Database(rows, layout)
-        sql_pred, oracle = predicate_sql_and_oracle(spec)
-        result = database.session.execute(
-            f"select a, b, s from t where {sql_pred}")
-        expected = sorted(
-            (row for row in rows if oracle(row)),
-            key=lambda r: (str(type(r[1])), str(r)),
-        )
-        got = sorted(result.rows, key=lambda r: (str(type(r[1])), str(r)))
-        assert got == expected
+        check_filter(case)
 
     @given(case=query_case())
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_aggregates_match_oracle(self, case):
-        rows, layout, spec = case
-        database = _Database(rows, layout)
-        sql_pred, oracle = predicate_sql_and_oracle(spec)
-        result = database.session.execute(
-            f"select count(*), count(b), sum(a), min(a), max(a) "
-            f"from t where {sql_pred}")
-        matching = [row for row in rows if oracle(row)]
-        count_star, count_b, sum_a, min_a, max_a = result.rows[0]
-        assert count_star == len(matching)
-        assert count_b == sum(1 for r in matching if r[1] is not None)
-        assert sum_a == (sum(r[0] for r in matching) if matching else None)
-        assert min_a == (min((r[0] for r in matching), default=None))
-        assert max_a == (max((r[0] for r in matching), default=None))
+        check_aggregates(case)
 
     @given(rows=rows_strategy,
            layout=st.sampled_from(["heap", "btree", "indexed"]))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_group_by_matches_oracle(self, rows, layout):
-        database = _Database(rows, layout)
-        result = database.session.execute(
-            "select a, count(*) from t group by a order by a")
-        expected: dict[int, int] = {}
-        for row in rows:
-            expected[row[0]] = expected.get(row[0], 0) + 1
-        assert result.rows == sorted(expected.items())
+        check_group_by(rows, layout)
 
     @given(rows=rows_strategy)
     @settings(max_examples=40, deadline=None,
@@ -160,39 +200,75 @@ class TestJoinDifferential:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_equi_join_matches_oracle(self, left, right, layout):
-        setup = original_setup()
-        setup.engine.create_database("d")
-        session = setup.engine.connect("d")
-        session.execute("create table l (k int not null, v int, "
-                        "primary key (k))")
-        session.execute("create table r (lk int, tag varchar(4))")
-        if left:
-            values = ", ".join(f"({i}, {k * 1000 + v})"
-                               for i, (k, v) in enumerate(left))
-            # keys collide on purpose below via k % 4
-            session.execute(f"insert into l values {values}")
-            session.execute("update l set v = v % 4")
-        if right:
-            values = ", ".join(
-                f"({'null' if k is None else k}, '{tag}')"
-                for k, tag in right)
-            session.execute(f"insert into r values {values}")
-        if layout == "btree":
-            session.execute("modify l to btree")
-        elif layout == "hash":
-            session.execute("modify l to hash with main_pages = 2")
-        elif layout == "indexed":
-            session.execute("create index i_lk on r (lk)")
-            session.execute("create statistics on l")
-            session.execute("create statistics on r")
+        check_equi_join(left, right, layout)
 
-        result = session.execute(
-            "select l.k, r.tag from l join r on l.k = r.lk")
-        left_keys = [i for i, _pair in enumerate(left)]
-        expected = sorted(
-            (key, tag)
-            for key in left_keys
-            for rk, tag in right
-            if rk == key
-        )
-        assert sorted(result.rows) == expected
+
+def check_equi_join(left, right, layout, pool_pages=None):
+    session = _connect(pool_pages)
+    session.execute("create table l (k int not null, v int, "
+                    "primary key (k))")
+    session.execute("create table r (lk int, tag varchar(4))")
+    if left:
+        values = ", ".join(f"({i}, {k * 1000 + v})"
+                           for i, (k, v) in enumerate(left))
+        # keys collide on purpose below via k % 4
+        session.execute(f"insert into l values {values}")
+        session.execute("update l set v = v % 4")
+    if right:
+        values = ", ".join(
+            f"({'null' if k is None else k}, '{tag}')"
+            for k, tag in right)
+        session.execute(f"insert into r values {values}")
+    if layout == "btree":
+        session.execute("modify l to btree")
+    elif layout == "hash":
+        session.execute("modify l to hash with main_pages = 2")
+    elif layout == "indexed":
+        session.execute("create index i_lk on r (lk)")
+        session.execute("create statistics on l")
+        session.execute("create statistics on r")
+    result = _query(session,
+                    "select l.k, r.tag from l join r on l.k = r.lk",
+                    pool_pages, bool(left and right))
+    left_keys = [i for i, _pair in enumerate(left)]
+    expected = sorted(
+        (key, tag)
+        for key in left_keys
+        for rk, tag in right
+        if rk == key
+    )
+    assert sorted(result.rows) == expected
+
+
+class TestTinyPoolDifferential:
+    """The single-table and join cases over a 2–4 page buffer pool,
+    each query started from a cold cache."""
+
+    @given(case=query_case(), pool_pages=TINY_POOLS)
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_filter_matches_oracle(self, case, pool_pages):
+        check_filter(case, pool_pages)
+
+    @given(case=query_case(), pool_pages=TINY_POOLS)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_aggregates_match_oracle(self, case, pool_pages):
+        check_aggregates(case, pool_pages)
+
+    @given(rows=rows_strategy,
+           layout=st.sampled_from(["heap", "btree", "indexed"]),
+           pool_pages=TINY_POOLS)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_group_by_matches_oracle(self, rows, layout, pool_pages):
+        check_group_by(rows, layout, pool_pages)
+
+    @given(left=TestJoinDifferential.left_rows,
+           right=TestJoinDifferential.right_rows,
+           layout=st.sampled_from(["heap", "btree", "hash", "indexed"]),
+           pool_pages=TINY_POOLS)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_equi_join_matches_oracle(self, left, right, layout, pool_pages):
+        check_equi_join(left, right, layout, pool_pages)

@@ -174,12 +174,15 @@ class TestPages:
             Column("_rowid", DataType.INT, nullable=False),
         ))
         page = InternalPage(key_schema, capacity=4096)
-        page.children.append(100)
+        page.set_first_child(100)
         page.insert_child(0, (5, 1), 200)
         page.insert_child(1, (9, 2), 300)
         restored = InternalPage.from_bytes(page.to_bytes(), key_schema, 4096)
         assert restored.children == [100, 200, 300]
         assert restored.keys == [(5, 1), (9, 2)]
+        assert restored.used_bytes == page.used_bytes == len(page.to_bytes())
+        with pytest.raises(PageError):
+            page.set_first_child(400)
 
     def test_page_kind(self, schema):
         heap = HeapPage(schema, 4096)
