@@ -92,19 +92,12 @@ class BTreeStorage:
         (> ``target`` when ``right``), comparing on ``len(target)``
         elements and normalizing only the probed rows."""
         width = len(target)
-        positions = self._key_positions
         rows = leaf.rows
-        if width <= len(positions):
-            prefix = positions[:width]
+        rowids = leaf.rowids
 
-            def probe(pos: int) -> tuple:
-                row = rows[pos]
-                return _norm_key([row[i] for i in prefix])
-        else:
-            rowids = leaf.rowids
+        def probe(pos: int) -> tuple:
+            return self._ekey(rows[pos], rowids[pos])[:width]
 
-            def probe(pos: int) -> tuple:
-                return self._ekey(rows[pos], rowids[pos])[:width]
         search = bisect_right if right else bisect_left
         return search(range(len(rows)), target, start, key=probe)
 

@@ -12,12 +12,9 @@ on-disk footprint) are computed from real byte counts:
 
 The format is read and written by one :class:`RecordCodec` per
 column-type signature.  Its functions are generated once with
-:func:`compile` and shared by every schema with the same signature: a
-row without NULLs decodes in straight-line code that unpacks each run
-of fixed-width columns, together with the length prefix of the string
-that ends it, in one :mod:`struct` call; a row with NULLs takes a
-per-column path that tests the bitmap inline.  The generated source is
-built only from :class:`DataType` members and integer offsets — never
+:func:`compile` and shared by every schema with the same signature;
+they walk the columns in order with precompiled :mod:`struct` helpers,
+testing the null bitmap inline.  The generated source is built only from :class:`DataType` members and integer offsets — never
 from column names or SQL text — so no user identifier reaches
 ``compile``.
 """
@@ -112,23 +109,6 @@ def unpack_row(schema: TableSchema, data: bytes, offset: int = 0) -> tuple[tuple
 # -- source generation ------------------------------------------------------
 
 
-def _runs(signature: tuple[DataType, ...]) -> list[tuple[list[int], int | None]]:
-    """Split the columns into ``(fixed column indexes, string index)``
-    runs: each run is the fixed-width columns up to and including the
-    next string column (``None`` for a trailing all-fixed run)."""
-    runs: list[tuple[list[int], int | None]] = []
-    fixed: list[int] = []
-    for i, data_type in enumerate(signature):
-        if data_type in _FIXED:
-            fixed.append(i)
-        else:
-            runs.append((fixed, i))
-            fixed = []
-    if fixed:
-        runs.append((fixed, None))
-    return runs
-
-
 def _generate(signature: tuple[DataType, ...]) -> tuple[str, dict[str, Any]]:
     """Source of ``decode``/``encode``/``size`` for ``signature`` and the
     namespace of struct helpers it refers to."""
@@ -137,14 +117,13 @@ def _generate(signature: tuple[DataType, ...]) -> tuple[str, dict[str, Any]]:
     namespace: dict[str, Any] = {"_string_too_long": _string_too_long}
     values = ", ".join(f"v{i}" for i in range(n))
     row_expr = f"({values},)" if n else "()"
-    runs = _runs(signature)
 
-    def helper(prefix: str, fmt: str) -> tuple[str, int]:
+    def helper(prefix: str, fmt: str) -> str:
         compiled = struct.Struct("<" + fmt)
         name = f"_{prefix}{len(namespace)}"
         namespace[name] = (compiled.unpack_from if prefix == "u"
                            else compiled.pack)
-        return name, compiled.size
+        return name
 
     if nbytes == 0:
         bitmap = "0"
@@ -153,76 +132,40 @@ def _generate(signature: tuple[DataType, ...]) -> tuple[str, dict[str, Any]]:
     else:
         bitmap = f"int.from_bytes(data[pos:pos + {nbytes}], 'little')"
 
-    # decode: straight-line when the bitmap is clear, per column otherwise.
+    # decode: one bitmap test per column.
     lines = ["def decode(data, pos):",
              f"    bm = {bitmap}",
-             f"    p = pos + {nbytes}",
-             "    if not bm:"]
-    for fixed, string in runs:
-        targets = [f"v{i}" for i in fixed]
-        fmt = "".join(_FIXED[signature[i]][0] for i in fixed)
-        if string is not None:
-            targets.append(f"n{string}")
-            fmt += _LEN_CODE
-        name, width = helper("u", fmt)
-        lines.append(f"        ({', '.join(targets)},) = {name}(data, p)")
-        lines.append(f"        p += {width}")
-        if string is not None:
-            lines.append(f"        v{string} = data[p:p + n{string}]"
-                         f".decode('utf-8')")
-            lines.append(f"        p += n{string}")
-    lines.append(f"        return {row_expr}, p")
+             f"    p = pos + {nbytes}"]
     for i, data_type in enumerate(signature):
         lines.append(f"    if bm & {1 << i}:")
         lines.append(f"        v{i} = None")
         if data_type is DataType.BOOL:
             lines.append(f"    else:\n        v{i} = data[p] != 0\n        p += 1")
         elif data_type in _FIXED:
-            name, width = helper("u", _FIXED[data_type][0])
-            lines.append(f"    else:\n        (v{i},) = {name}(data, p)\n"
+            code, width = _FIXED[data_type]
+            lines.append(f"    else:\n        (v{i},) = {helper('u', code)}(data, p)\n"
                          f"        p += {width}")
         else:
-            name, width = helper("u", _LEN_CODE)
-            lines.append(f"    else:\n        (n,) = {name}(data, p)\n"
-                         f"        p += {width}\n"
+            lines.append(f"    else:\n        (n,) = {helper('u', _LEN_CODE)}(data, p)\n"
+                         f"        p += {_LEN_SIZE}\n"
                          f"        v{i} = data[p:p + n].decode('utf-8')\n"
                          f"        p += n")
     lines.append(f"    return {row_expr}, p")
 
-    # encode: one pack per fixed run when no column is NULL.
+    # encode: the same walk, setting the bitmap for each NULL.
     lines.append("def encode(row):")
-    lines.extend(f"    v{i} = row[{i}]" for i in range(n))
-    present = " and ".join(f"v{i} is not None" for i in range(n)) or "True"
-    lines.append(f"    if {present}:")
-    parts: list[str] = []
-    for index, (fixed, string) in enumerate(runs):
-        args = [f"v{i}" for i in fixed]
-        fmt = ("x" * nbytes if index == 0 else "") + "".join(
-            _FIXED[signature[i]][0] for i in fixed)
-        if string is not None:
-            lines.append(f"        b{string} = v{string}.encode('utf-8')")
-            lines.append(f"        if len(b{string}) > {MAX_STRING_BYTES}:")
-            lines.append(f"            _string_too_long(len(b{string}))")
-            args.append(f"len(b{string})")
-            fmt += _LEN_CODE
-        name, _width = helper("p", fmt)
-        parts.append(f"{name}({', '.join(args)})")
-        if string is not None:
-            parts.append(f"b{string}")
-    if not parts:
-        parts.append(repr(bytes(nbytes)))
-    lines.append(f"        return b''.join(({', '.join(parts)},))")
     lines.append("    bm = 0")
     lines.append("    out = []")
     for i, data_type in enumerate(signature):
-        lines.append(f"    if v{i} is None:")
+        lines.append(f"    v = row[{i}]")
+        lines.append("    if v is None:")
         lines.append(f"        bm |= {1 << i}")
         if data_type in _FIXED:
-            name, _width = helper("p", _FIXED[data_type][0])
-            lines.append(f"    else:\n        out.append({name}(v{i}))")
+            name = helper("p", _FIXED[data_type][0])
+            lines.append(f"    else:\n        out.append({name}(v))")
         else:
-            name, _width = helper("p", _LEN_CODE)
-            lines.append(f"    else:\n        b = v{i}.encode('utf-8')\n"
+            name = helper("p", _LEN_CODE)
+            lines.append(f"    else:\n        b = v.encode('utf-8')\n"
                          f"        if len(b) > {MAX_STRING_BYTES}:\n"
                          f"            _string_too_long(len(b))\n"
                          f"        out.append({name}(len(b)))\n"

@@ -200,7 +200,7 @@ class TestRecordCodec:
 
     def test_string_length_limit(self):
         schema = schema_of((DataType.INT, DataType.TEXT))
-        for first in (1, None):  # the all-present and the NULL path
+        for first in (1, None):
             assert unpack_row(schema, pack_row(
                 schema, (first, "x" * 0xFFFF)))[0] == (first, "x" * 0xFFFF)
             with pytest.raises(StorageError, match="65535-byte"):
